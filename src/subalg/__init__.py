@@ -5,6 +5,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDirection,
     InvalidFiltration,
+    InvariantError,
     NotAProperCondition,
     PolyParseError,
     RedundantCondition,

@@ -8,7 +8,8 @@ produce byte-identical output.
 
 Exit codes: 0 on success (including a negative membership verdict),
 1 for input or parse problems, 2 for an invalid filtration, 3 when a
-verification report contains a failed check.
+verification report contains a failed check, 4 when an internal
+invariant fails (a bug in the library, not in the input).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidFiltration, PolyParseError, SubalgError
+from .errors import InvalidFiltration, InvariantError, PolyParseError, SubalgError
 from .functionals import (
     Condition,
     ConditionKind,
@@ -164,7 +165,7 @@ class Session:
         if not isinstance(data, dict):
             raise SessionError(f"{path}: the session must be a JSON object")
         n = data.get("n")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SessionError(f"{path}: 'n' must be a positive integer")
         order_name = order_override or data.get("order", "degrevlex")
         if order_name not in _ORDERS:
@@ -451,6 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (OSError, SessionError, PolyParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

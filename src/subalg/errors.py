@@ -47,3 +47,7 @@ class InvalidFiltration(SubalgError):
 
 class RedundantCondition(InvalidFiltration):
     """A condition vanishes identically on its level."""
+
+
+class InvariantError(SubalgError):
+    """An internal invariant failed: a bug in the library, not bad input."""

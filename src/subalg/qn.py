@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
+from .errors import InvariantError
 from .functionals import (
     Condition,
     ConditionKind,
@@ -201,11 +202,12 @@ def qn_build(spec: QnSpec, order: TermOrder = DEGREVLEX) -> ConditionFiltration:
     """Cut the kernel filtration for the spec's conditions.
 
     Every condition drops the codimension by exactly one, so the final
-    codimension must equal the condition count; that is asserted.
+    codimension must equal the condition count; that is checked.
     """
     n = len(spec.points[0])
     flt = build_from_conditions(n, spec.conditions, order)
-    assert flt.codim == len(spec.conditions), "every condition must cut exactly once"
+    if flt.codim != len(spec.conditions):
+        raise InvariantError("every condition must cut exactly once")
     return flt
 
 
@@ -222,6 +224,60 @@ def _poly_row(f: Poly, index: dict[Monomial, int]) -> dict[int, Fraction]:
     return {index[mono]: coeff for mono, coeff in f.terms()}
 
 
+class _IdealSlice:
+    """The constants plus the shifted-product ideal, capped at a total degree.
+
+    The slice is spanned by 1 and every ``pi_n`` product times every
+    monomial that keeps the total degree within ``cap``.  It is held as
+    the reduced echelon rows of that spanning set over the monomials up
+    to ``cap``, sorted descending in ``order``, so each row's pivot is
+    its leading monomial.
+    """
+
+    def __init__(self, pts: PointSet, level: int, cap: int, order: TermOrder):
+        self.n = len(pts[0])
+        self.monos, self._index = _monomial_frame(self.n, cap, order)
+        self._echelon = Echelon()
+        self._echelon.add(_poly_row(Poly.constant(self.n, 1), self._index))
+        self.elements = 0
+        width = level * len(pts)
+        if cap >= width:
+            shifts = list(monomials_up_to(self.n, cap - width))
+            for product in pi_n(pts, level):
+                for shift in shifts:
+                    self.elements += 1
+                    element = product * Poly.monomial(shift)
+                    self._echelon.add(_poly_row(element, self._index))
+
+    @property
+    def rank(self) -> int:
+        return self._echelon.rank
+
+    def pivots(self) -> list[int]:
+        return self._echelon.pivots()
+
+    def contains(self, f: Poly) -> bool:
+        """Membership of ``f``, whose degree must be within the cap."""
+        return self._echelon.contains(_poly_row(f, self._index))
+
+    def rows(self) -> list[Poly]:
+        """The echelon basis of the slice, as polynomials."""
+        return [
+            Poly(self.n, {self.monos[col]: coeff for col, coeff in row.items()})
+            for row in self._echelon.rows()
+        ]
+
+    def rows_outside(self, basis: SagbiBasis) -> list[Poly]:
+        """Echelon rows that do not subduce to zero against ``basis``.
+
+        Membership in the algebra is linear and the rows span the slice,
+        so the slice lies in the algebra exactly when this list is empty.
+        """
+        return [
+            row for row in self.rows() if not subduce(row, basis).remainder.is_zero()
+        ]
+
+
 def qprime_membership(
     f: Poly, points: Sequence[Sequence], level: int, degree_cap: int
 ) -> bool:
@@ -232,18 +288,9 @@ def qprime_membership(
     is exact row reduction over that spanning set plus the constants.
     """
     pts = point_set(points)
-    n = len(pts[0])
     if f.total_degree() > degree_cap:
         raise ValueError("the degree cap must cover the tested polynomial")
-    monos, index = _monomial_frame(n, degree_cap, DEGREVLEX)
-    ech = Echelon()
-    ech.add(_poly_row(Poly.constant(n, 1), index))
-    width = level * len(pts)
-    if degree_cap >= width:
-        for product in pi_n(pts, level):
-            for shift in monomials_up_to(n, degree_cap - width):
-                ech.add(_poly_row(product * Poly.monomial(shift), index))
-    return ech.contains(_poly_row(f, index))
+    return _IdealSlice(pts, level, degree_cap, DEGREVLEX).contains(f)
 
 
 # -- reports ----------------------------------------------------------
@@ -289,26 +336,26 @@ def verify_qprime_eq_q(
 
     With D the certified conductor plus the ideal generation degree:
     every basis generator must land in the constants-plus-ideal slice,
-    every ideal spanning element of degree at most D must subduce to
-    zero, and the complement of the slice's leading monomials must
-    reproduce the certified missing set exactly.
+    an echelon basis of the slice up to degree D must subduce to zero,
+    and the complement of the slice's leading monomials must reproduce
+    the certified missing set exactly.
     """
     spec = qn_spec(points, level)
     flt = qn_build(spec, order)
     basis = flt.final_basis
     report = flt.final_report
     pts = spec.points
-    n = len(pts[0])
     width = level * len(pts)
     cap = degree_cap if degree_cap is not None else report.conductor + width
     items: list[CheckItem] = []
 
+    ideal = _IdealSlice(pts, level, cap, order)
+
+    # Membership in the slice does not depend on the column order, so the
+    # generators are tested against the same slice unless one is too high.
     gen_cap = max(cap, basis.max_generator_degree())
-    failing = [
-        format_poly(g)
-        for g in basis.gens
-        if not qprime_membership(g, pts, level, gen_cap)
-    ]
+    gen_slice = ideal if gen_cap == cap else _IdealSlice(pts, level, gen_cap, order)
+    failing = [format_poly(g) for g in basis.gens if not gen_slice.contains(g)]
     items.append(
         CheckItem(
             "generators_in_ideal_sum",
@@ -317,33 +364,18 @@ def verify_qprime_eq_q(
         )
     )
 
-    stuck: list[str] = []
-    total = 0
-    if cap >= width:
-        for product in pi_n(pts, level):
-            for shift in monomials_up_to(n, cap - width):
-                total += 1
-                remainder = subduce(product * Poly.monomial(shift), basis).remainder
-                if not remainder.is_zero():
-                    stuck.append(format_poly(product * Poly.monomial(shift)))
+    stuck = [format_poly(row) for row in ideal.rows_outside(basis)]
     items.append(
         CheckItem(
             "ideal_slice_subduces",
             not stuck,
-            {"degree_cap": cap, "elements": total, "failing": stuck},
+            {"degree_cap": cap, "elements": ideal.elements, "failing": stuck},
         )
     )
 
-    monos, index = _monomial_frame(n, cap, order)
-    ech = Echelon()
-    ech.add(_poly_row(Poly.constant(n, 1), index))
-    if cap >= width:
-        for product in pi_n(pts, level):
-            for shift in monomials_up_to(n, cap - width):
-                ech.add(_poly_row(product * Poly.monomial(shift), index))
-    pivots = set(ech.pivots())
+    pivots = set(ideal.pivots())
     complement = sorted(
-        monos[i] for i in range(len(monos)) if i not in pivots
+        mono for i, mono in enumerate(ideal.monos) if i not in pivots
     )
     expected = sorted(report.missing)
     items.append(
@@ -351,7 +383,7 @@ def verify_qprime_eq_q(
             "missing_complement_match",
             complement == expected,
             {
-                "slice_rank": ech.rank,
+                "slice_rank": ideal.rank,
                 "expected_missing": [format_poly(Poly.monomial(m)) for m in expected],
                 "complement": [format_poly(Poly.monomial(m)) for m in complement],
             },

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvalidFiltration, NotAProperCondition, RedundantCondition
+from .errors import (
+    InvalidFiltration,
+    InvariantError,
+    NotAProperCondition,
+    RedundantCondition,
+)
 from .functionals import Condition, LinearFunctional, check_leibniz
 from .poly import (
     Monomial,
@@ -183,7 +188,8 @@ def subduce(f: Poly, basis: SagbiBasis) -> SubductionResult:
     while not rem.is_zero():
         mono, coeff = rem.leading(order)
         key = order.key(mono)
-        assert previous_key is None or key < previous_key, "subduction failed to descend"
+        if previous_key is not None and key >= previous_key:
+            raise InvariantError("subduction failed to descend")
         previous_key = key
         exponents = basis.witness(mono)
         if exponents is None:
@@ -192,8 +198,9 @@ def subduce(f: Poly, basis: SagbiBasis) -> SubductionResult:
         steps.append(SubductionStep(coeff, exponents))
         guard += 1
         if guard > _ZERO_STEP_GUARD:
-            raise RuntimeError("subduction exceeded the step guard")
-    assert rem.is_zero() or basis.witness(rem.leading_monomial(order)) is None
+            raise InvariantError("subduction exceeded the step guard")
+    if not rem.is_zero() and basis.witness(rem.leading_monomial(order)) is not None:
+        raise InvariantError("subduction stopped on a reducible leading monomial")
     return SubductionResult(rem, tuple(steps))
 
 
@@ -318,7 +325,7 @@ def codimension_certified(basis: SagbiBasis, codim: int) -> CodimReport:
     cap = (codim + 1) * (basis.max_generator_degree() + 1) + basis.n + 2
     missing = _scan_missing(basis, codim, cap)
     if len(missing) != codim:
-        raise RuntimeError(
+        raise InvariantError(
             f"certified codimension {codim} inconsistent with scan ({len(missing)} found)"
         )
     conductor = 1 + max((sum(m) for m in missing), default=-1)
@@ -452,7 +459,7 @@ def build_from_conditions(
         current = kernel_sagbi(current, functional)
         report = codimension_certified(current, len(levels) + 1)
         if set(report.missing) != set(levels[-1].report.missing if levels else ()) | {dropped}:
-            raise RuntimeError("kernel step did not drop exactly the expected monomial")
+            raise InvariantError("kernel step did not drop exactly the expected monomial")
         levels.append(FiltrationLevel(condition, current, report))
     return ConditionFiltration(n, order, base, levels)
 

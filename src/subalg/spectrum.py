@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantError
 from .functionals import LinearFunctional
 from .jets import JetSpace
 from .linalg import Echelon, SparseRow, kernel_basis
@@ -75,9 +76,8 @@ def spectrum(flt: ConditionFiltration) -> Spectrum:
     for level in flt.levels:
         kind = level.condition.kind
         if kind.name == "chardiff":
-            assert are_equivalent(kind.alpha, kind.beta, final), (
-                "character difference points failed to merge"
-            )
+            if not are_equivalent(kind.alpha, kind.beta, final):
+                raise InvariantError("character difference points failed to merge")
     return Spectrum(points, clusters)
 
 
@@ -213,7 +213,8 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
 
     for z in vanishing:
         for row in square_span.rows():
-            assert space.pair(z, row) == 0, "vanishing combination misses the square"
+            if space.pair(z, row) != 0:
+                raise InvariantError("vanishing combination misses the square")
 
     quotient = Echelon()
     for z in vanishing:
@@ -303,7 +304,7 @@ def cotangent_dimension(flt: ConditionFiltration, alpha) -> int:
     except _Done:
         pass
     if ideal_span.rank != target_rank:
-        raise RuntimeError(
+        raise InvariantError(
             "maximal ideal span failed to reach its certified jet rank"
         )
 

@@ -10,6 +10,7 @@ from subalg.cli import (
     main,
 )
 from subalg.qn import CheckItem, Report
+from subalg.sagbi import CodimReport
 from subalg.spectrum import derivation_space
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
@@ -235,6 +236,29 @@ def test_invalid_filtration_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid filtration at level 1:")
+
+
+def test_boolean_variable_count_exits_one(tmp_path, capsys):
+    for value in (True, False):
+        bad = tmp_path / f"n-{value}.json"
+        bad.write_text(json.dumps({"n": value, "conditions": []}))
+        code, out, err = run(capsys, "build", str(bad))
+        assert code == 1
+        assert out == ""
+        assert "'n' must be a positive integer" in err
+
+
+def test_invariant_failure_exits_four(monkeypatch, capsys):
+    # A codimension report that misses the dropped monomial breaks the
+    # kernel-step invariant inside build_from_conditions.
+    def wrong_report(basis, codim):
+        return CodimReport(codim, (), 0)
+
+    monkeypatch.setattr("subalg.sagbi.codimension_certified", wrong_report)
+    code, out, err = run(capsys, "build", A1)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: kernel step did not drop")
 
 
 def test_failed_verification_exits_three(monkeypatch, capsys):

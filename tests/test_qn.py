@@ -3,8 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from subalg.poly import DEGREVLEX, Poly, format_poly, monomials_of_degree, parse_poly
+from subalg.linalg import Echelon
+from subalg.poly import (
+    DEGREVLEX,
+    Poly,
+    TermOrder,
+    format_poly,
+    monomials_of_degree,
+    monomials_up_to,
+    parse_poly,
+)
 from subalg.qn import (
+    _IdealSlice,
     CheckItem,
     Report,
     leibniz_expand,
@@ -279,6 +289,137 @@ def test_capped_membership_goldens():
     # a cap below the generation degree leaves only the constants
     assert qprime_membership(parse_poly("3", 1), pts, 2, 1)
     assert not qprime_membership(parse_poly("x1", 1), pts, 2, 1)
+
+
+# -- the slice, checked against the per-element path ------------------
+
+
+def _fresh_slice(pts, level, cap, order):
+    """Row-reduce 1 and every product times every shift from scratch."""
+    n = len(pts[0])
+    monos = sorted(monomials_up_to(n, cap), key=order.key, reverse=True)
+    index = {mono: i for i, mono in enumerate(monos)}
+
+    def row(f):
+        return {index[mono]: coeff for mono, coeff in f.terms()}
+
+    ech = Echelon()
+    ech.add(row(Poly.constant(n, 1)))
+    width = level * len(pts)
+    if cap >= width:
+        for product in pi_n(pts, level):
+            for shift in monomials_up_to(n, cap - width):
+                ech.add(row(product * Poly.monomial(shift)))
+    return ech, monos, row
+
+
+def _stuck_products(pts, level, cap, basis):
+    """(count, failing) over every product times shift, each subduced."""
+    n = len(pts[0])
+    width = level * len(pts)
+    total = 0
+    stuck = []
+    if cap >= width:
+        for product in pi_n(pts, level):
+            for shift in monomials_up_to(n, cap - width):
+                total += 1
+                element = product * Poly.monomial(shift)
+                if not subduce(element, basis).remainder.is_zero():
+                    stuck.append(format_poly(element))
+    return total, stuck
+
+
+def _per_element_report(points, level, order=DEGREVLEX):
+    """The two-sided check with one fresh slice per generator."""
+    spec = qn_spec(points, level)
+    flt = qn_build(spec, order)
+    basis = flt.final_basis
+    report = flt.final_report
+    pts = spec.points
+    cap = report.conductor + level * len(pts)
+    gen_cap = max(cap, basis.max_generator_degree())
+    failing = []
+    for g in basis.gens:
+        ech, _, row = _fresh_slice(pts, level, gen_cap, DEGREVLEX)
+        if not ech.contains(row(g)):
+            failing.append(format_poly(g))
+    total, stuck = _stuck_products(pts, level, cap, basis)
+    ech, monos, _ = _fresh_slice(pts, level, cap, order)
+    pivots = set(ech.pivots())
+    complement = sorted(m for i, m in enumerate(monos) if i not in pivots)
+    expected = sorted(report.missing)
+
+    def monomials(ms):
+        return [format_poly(Poly.monomial(m)) for m in ms]
+
+    return [
+        (
+            "generators_in_ideal_sum",
+            not failing,
+            {"degree_cap": gen_cap, "generators": len(basis.gens), "failing": failing},
+        ),
+        (
+            "ideal_slice_subduces",
+            not stuck,
+            {"degree_cap": cap, "elements": total, "failing": stuck},
+        ),
+        (
+            "missing_complement_match",
+            complement == expected,
+            {
+                "slice_rank": ech.rank,
+                "expected_missing": monomials(expected),
+                "complement": monomials(complement),
+            },
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "points, level",
+    [
+        ([(0,), (1,)], 1),
+        ([(0,), (1,)], 2),
+        ([(0, 0), (0, 1)], 2),
+        ([(0,), (1,), (2,)], 3),
+    ],
+)
+def test_slice_report_matches_per_element_path(points, level):
+    report = verify_qprime_eq_q(points, level)
+    got = [(item.check, item.passed, item.details) for item in report.items]
+    assert got == _per_element_report(points, level)
+
+
+def test_slice_outside_the_algebra_fails_both_ways():
+    # The level-1 slice of two points only glues values; the level-2
+    # algebra also kills first derivatives, so the slice sticks out.
+    pts = ((0,), (1,))
+    flt = qn_build(qn_spec(pts, 2))
+    basis = flt.final_basis
+    cap = flt.final_report.conductor + 2
+    ideal = _IdealSlice(pts, 1, cap, DEGREVLEX)
+    outside = ideal.rows_outside(basis)
+    assert outside
+    assert all(not subduce(row, basis).remainder.is_zero() for row in outside)
+    total, stuck = _stuck_products(pts, 1, cap, basis)
+    assert total == ideal.elements > 0
+    assert stuck
+    # Each echelon row is a combination of the spanning elements, so a
+    # row outside the algebra means some spanning element is outside too.
+    ech, _, row = _fresh_slice(pts, 1, cap, DEGREVLEX)
+    assert ech.rank == ideal.rank
+    assert all(ech.contains(row(r)) for r in ideal.rows())
+
+
+def test_slice_membership_ignores_the_column_order():
+    pts = ((0, 0), (0, 1))
+    for f in ["x1^2*x2^2 + 3", "x1*x2^3 - x1*x2^2", "x1*x2", "x1^4 + x2"]:
+        poly = parse_poly(f, 2)
+        verdicts = {
+            _IdealSlice(pts, 2, 6, order).contains(poly)
+            for order in (DEGREVLEX, TermOrder("lex"), TermOrder("deglex"))
+        }
+        assert verdicts == {qprime_membership(poly, pts, 2, 6)}
 
 
 # -- two-sided verification reports -----------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from subalg.errors import (
     InvalidFiltration,
+    InvariantError,
     NotAProperCondition,
     RedundantCondition,
 )
@@ -213,7 +214,7 @@ def test_codim_reports():
 
 def test_codim_certified_rejects_wrong_count():
     b = basis_of(["x1^2", "x1^3"], 1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InvariantError):
         codimension_certified(b, 3)
 
 
