@@ -39,7 +39,7 @@ from .poly import (
     parse_poly,
     partials_from_indices,
 )
-from .qn import CheckItem, Report, qn_spec, qn_build, verify_d_of_q, verify_main_theorem, verify_qprime_eq_q
+from .qn import CheckItem, Report, point_set, qn_spec, qn_build, verify_d_of_q, verify_main_theorem, verify_qprime_eq_q
 from .sagbi import ConditionFiltration, build_from_conditions, subduce
 from .spectrum import derivation_space, spectrum
 
@@ -230,7 +230,12 @@ def _parse_cli_points(text: str, n: int) -> list[Point]:
     chunks = [c for c in text.split(";") if c.strip()]
     if not chunks:
         raise SessionError("expected at least one point")
-    return [_parse_cli_point(chunk, n) for chunk in chunks]
+    points = [_parse_cli_point(chunk, n) for chunk in chunks]
+    try:
+        point_set(points, n)
+    except ValueError as exc:
+        raise SessionError(str(exc)) from exc
+    return points
 
 
 def _emit(payload, as_json: bool, text: str):

@@ -239,11 +239,9 @@ def express_in_span(
 
     Returns None when no exact combination matches on the test space.
     """
-    matrix = [[b.apply(t) for b in basis] for t in test_space]
+    rows = [{i: b.apply(t) for i, b in enumerate(basis)} for t in test_space]
     rhs = [functional.apply(t) for t in test_space]
-    solution = solve(matrix, rhs)
+    solution = solve(rows, rhs, len(basis))
     if solution is None:
         return None
-    if len(solution) < len(basis):
-        solution = solution + [Fraction(0)] * (len(basis) - len(solution))
-    return solution
+    return [solution.get(i, Fraction(0)) for i in range(len(basis))]

@@ -1,9 +1,8 @@
-"""Exact row reduction over Fraction, dense and sparse flavors."""
+"""Exact sparse row reduction over Fraction: one echelon, its kernels and solves."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 SparseRow = dict[int, Fraction]
 
@@ -72,62 +71,40 @@ class Echelon:
         return sorted(self.pivot_rows)
 
 
-def _to_sparse(row: Iterable) -> SparseRow:
-    return {i: Fraction(v) for i, v in enumerate(row) if v}
+def kernel_basis(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
+    """Basis of the right kernel, one vector per free column, in column order.
 
-
-def rref(matrix: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a dense matrix; returns (rows, pivot columns)."""
+    The vector of free column f is e_f minus, for each pivot row holding
+    f, that row's entry at f placed in its pivot column.  Every pivot
+    lies left of the free columns its row touches, so the entries come
+    out in increasing column order.
+    """
     ech = Echelon()
-    for row in matrix:
-        ech.add(_to_sparse(row))
-    ncols = max((len(r) for r in matrix), default=0)
-    pivots = ech.pivots()
-    dense = []
-    for p in pivots:
-        row = ech.pivot_rows[p]
-        dense.append([row.get(c, Fraction(0)) for c in range(ncols)])
-    return dense, pivots
-
-
-def rank(matrix: list[list]) -> int:
-    ech = Echelon()
-    for row in matrix:
-        ech.add(_to_sparse(row))
-    return ech.rank
-
-
-def kernel_basis(matrix: list[list], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
+    for row in rows:
+        ech.add(row)
+    vectors: dict[int, SparseRow] = {
+        f: {} for f in range(ncols) if f not in ech.pivot_rows
+    }
+    for pivot in ech.pivots():
+        for col, value in ech.pivot_rows[pivot].items():
+            if col != pivot:
+                vectors[col][pivot] = -value
+    for f, vec in vectors.items():
         vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            entry = row[f] if f < len(row) else Fraction(0)
-            if entry:
-                vec[p] = -entry
-        basis.append(vec)
-    return basis
+    return list(vectors.values())
 
 
-def solve(matrix: list[list], rhs: list) -> list[Fraction] | None:
-    """One exact solution of M x = b with free variables set to 0, or None."""
-    if not matrix:
-        return [] if all(not v for v in rhs) else None
-    ncols = max(len(r) for r in matrix)
+def solve(rows: list[SparseRow], rhs: list, ncols: int) -> SparseRow | None:
+    """One exact solution of M x = b with free variables set to 0, or None.
+
+    Column ``ncols`` carries the right-hand side, so a pivot there is a
+    surviving 0 = 1 row.
+    """
     ech = Echelon()
-    for row, b in zip(matrix, rhs):
-        sparse = _to_sparse(row)
-        if b:
-            sparse[ncols] = Fraction(b)
-        ech.add(sparse)
+    for row, b in zip(rows, rhs):
+        ech.add({**row, ncols: Fraction(b)} if b else row)
     if ncols in ech.pivot_rows:
-        return None  # a 0 = 1 row survived: inconsistent
-    solution = [Fraction(0)] * ncols
-    for pivot, row in ech.pivot_rows.items():
-        solution[pivot] = row.get(ncols, Fraction(0))
-    return solution
+        return None
+    return {
+        pivot: row[ncols] for pivot, row in ech.pivot_rows.items() if ncols in row
+    }

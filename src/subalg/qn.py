@@ -22,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import InvariantError
@@ -112,48 +112,6 @@ def pi_n(points: Sequence[Sequence], level: int) -> list[Poly]:
             product = product * factor
         out.append(product)
     return out
-
-
-# -- the general product rule, two flavours ---------------------------
-
-
-def power_multisets(counts: Monomial) -> list[tuple[Monomial, int]]:
-    """Sub-derivatives of a pure higher partial, with multiplicities.
-
-    Choosing a sub-multiset of a multiset of unit directions amounts to
-    choosing how many copies of each variable to keep; the multiplicity
-    counts the index subsets realizing that choice.
-    """
-    out = []
-    for sub in itertools.product(*(range(c + 1) for c in counts)):
-        multiplicity = 1
-        for have, take in zip(counts, sub):
-            multiplicity *= comb(have, take)
-        out.append((tuple(sub), multiplicity))
-    return out
-
-
-def leibniz_expand(f: Poly, g: Poly, counts: Monomial) -> Poly:
-    """The pure partial of f*g expanded by the product rule, term by term."""
-    total = Poly.zero(f.n)
-    for sub, multiplicity in power_multisets(counts):
-        rest = tuple(a - b for a, b in zip(counts, sub))
-        total = total + multiplicity * (f.derive(sub) * g.derive(rest))
-    return total
-
-
-def leibniz_expand_directions(f: Poly, g: Poly, directions: Sequence[Sequence]) -> Poly:
-    """The iterated directional derivative of f*g via index-subset expansion."""
-    total = Poly.zero(f.n)
-    for picks in itertools.product((False, True), repeat=len(directions)):
-        left, right = f, g
-        for direction, take in zip(directions, picks):
-            if take:
-                left = left.directional(direction)
-            else:
-                right = right.directional(direction)
-        total = total + left * right
-    return total
 
 
 # -- the condition-side construction ----------------------------------

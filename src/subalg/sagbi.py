@@ -332,32 +332,6 @@ def codimension_certified(basis: SagbiBasis, codim: int) -> CodimReport:
     return CodimReport(codim, tuple(missing), conductor)
 
 
-def codimension_scan(
-    basis: SagbiBasis, degree_cap: int, known_codim: int | None = None
-) -> tuple[CodimReport, bool]:
-    """Standalone scan up to ``degree_cap``; the bool says whether it is exact.
-
-    The scan always produces a lower bound: the missing monomials found
-    so far.  It is exact when either an externally certified codimension
-    matches, or the top ``max_generator_degree`` scanned degrees contain
-    no missing monomial.  In the latter case any higher monomial
-    contains a full-semigroup monomial from that window, so induction on
-    degree shows nothing above the window is missing.
-    """
-    missing: list[Monomial] = []
-    for degree in range(degree_cap + 1):
-        for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key):
-            if not basis.contains_monomial(mono):
-                missing.append(mono)
-    conductor = 1 + max((sum(m) for m in missing), default=-1)
-    report = CodimReport(len(missing), tuple(missing), conductor)
-    conclusive = known_codim is not None and len(missing) == known_codim
-    window = basis.max_generator_degree()
-    if window >= 1 and degree_cap >= window and conductor <= degree_cap - window + 1:
-        conclusive = True
-    return report, conclusive
-
-
 # -- filtrations ------------------------------------------------------
 
 
@@ -401,9 +375,6 @@ class ConditionFiltration:
 
     def conditions(self) -> tuple[Condition, ...]:
         return tuple(level.condition for level in self.levels)
-
-    def prefix(self, length: int) -> ConditionFiltration:
-        return ConditionFiltration(self.n, self.order, self.base, self.levels[:length])
 
 
 def truncated_algebra_basis(

@@ -112,14 +112,6 @@ class DerivationSpace:
         return len(self.basis)
 
 
-def _sparse_kernel(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
-    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
-    vectors = kernel_basis(dense, ncols)
-    return [
-        {j: value for j, value in enumerate(vec) if value} for vec in vectors
-    ]
-
-
 def _ordered_partials(n: int, low: int, high: int) -> list[Monomial]:
     out = [m for m in monomials_up_to(n, high) if low <= sum(m) <= high]
     out.sort(key=lambda m: (sum(m), m))
@@ -152,7 +144,7 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
 
     condition_rows = [space.functional_covector(f) for f in functionals]
     eval_row = space.evaluation_covector(point)
-    ideal_jets = _sparse_kernel(condition_rows + [eval_row], space.dim)
+    ideal_jets = kernel_basis(condition_rows + [eval_row], space.dim)
 
     candidates: list[tuple[int, Monomial]] = []
     for p in cluster:
@@ -179,28 +171,20 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
                 covered.add(slot)
             square_span.add(projected)
 
-    annihilator = _sparse_kernel(list(square_span.rows()), len(candidates))
+    annihilator = kernel_basis(square_span.rows(), len(candidates))
 
     # Candidate combinations that vanish on the whole algebra: exactly the
     # elements of the condition row space supported on candidate coordinates.
-    outside: set[int] = set()
-    for row in condition_rows:
-        outside.update(c for c in row if c not in slot_of)
-    outside_coords = sorted(outside)
-    system = [
-        [row.get(c, Fraction(0)) for c in outside_coords]
-        for row in condition_rows
-    ]
-    transposed = [
-        [system[j][i] for j in range(len(condition_rows))]
-        for i in range(len(outside_coords))
-    ]
+    # One row per outside coordinate c, holding condition_rows[j][c] at j.
+    transposed: dict[int, SparseRow] = {}
+    for j, row in enumerate(condition_rows):
+        for c, value in row.items():
+            if c not in slot_of:
+                transposed.setdefault(c, {})[j] = value
     vanishing: list[SparseRow] = []
-    for s in kernel_basis(transposed, len(condition_rows)):
+    for s in kernel_basis(list(transposed.values()), len(condition_rows)):
         combo: SparseRow = {}
-        for j, weight in enumerate(s):
-            if not weight:
-                continue
+        for j, weight in s.items():
             for c, value in condition_rows[j].items():
                 slot = slot_of[c]
                 entry = combo.get(slot, Fraction(0)) + weight * value

@@ -248,6 +248,13 @@ def test_boolean_variable_count_exits_one(tmp_path, capsys):
         assert "'n' must be a positive integer" in err
 
 
+def test_duplicate_qn_points_exit_one(capsys):
+    code, out, err = run(capsys, "qn", PLANE, "--points", "0,0;0,0", "--N", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: points must be pairwise distinct\n"
+
+
 def test_invariant_failure_exits_four(monkeypatch, capsys):
     # A codimension report that misses the dropped monomial breaks the
     # kernel-step invariant inside build_from_conditions.

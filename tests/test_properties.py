@@ -17,9 +17,9 @@ from subalg.functionals import (
 )
 from subalg.linalg import Echelon
 from subalg.poly import DEGREVLEX, Poly, monomials_of_degree, monomials_up_to
-from subalg.qn import leibniz_expand, leibniz_expand_directions
 from subalg.sagbi import build_from_conditions, is_member, subduce
 from subalg.spectrum import derivation_space, spectrum
+from test_qn import leibniz_expand, leibniz_expand_directions
 
 F = Fraction
 

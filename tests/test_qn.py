@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,12 +19,9 @@ from subalg.qn import (
     _IdealSlice,
     CheckItem,
     Report,
-    leibniz_expand,
-    leibniz_expand_directions,
     p_n,
     pi_n,
     point_set,
-    power_multisets,
     qn_build,
     qn_spec,
     qprime_membership,
@@ -156,6 +155,45 @@ def test_point_set_validation():
 
 
 # -- product rule, both flavours --------------------------------------
+
+
+def power_multisets(counts):
+    """Sub-derivatives of a pure higher partial, with multiplicities.
+
+    Choosing a sub-multiset of a multiset of unit directions amounts to
+    choosing how many copies of each variable to keep; the multiplicity
+    counts the index subsets realizing that choice.
+    """
+    out = []
+    for sub in itertools.product(*(range(c + 1) for c in counts)):
+        multiplicity = 1
+        for have, take in zip(counts, sub):
+            multiplicity *= comb(have, take)
+        out.append((tuple(sub), multiplicity))
+    return out
+
+
+def leibniz_expand(f, g, counts):
+    """The pure partial of f*g expanded by the product rule, term by term."""
+    total = Poly.zero(f.n)
+    for sub, multiplicity in power_multisets(counts):
+        rest = tuple(a - b for a, b in zip(counts, sub))
+        total = total + multiplicity * (f.derive(sub) * g.derive(rest))
+    return total
+
+
+def leibniz_expand_directions(f, g, directions):
+    """The iterated directional derivative of f*g via index-subset expansion."""
+    total = Poly.zero(f.n)
+    for picks in itertools.product((False, True), repeat=len(directions)):
+        left, right = f, g
+        for direction, take in zip(directions, picks):
+            if take:
+                left = left.directional(direction)
+            else:
+                right = right.directional(direction)
+        total = total + left * right
+    return total
 
 
 def test_power_multisets_count_index_subsets():

