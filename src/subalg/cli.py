@@ -7,9 +7,10 @@ exact rational; output ordering is deterministic, so identical sessions
 produce byte-identical output.
 
 Exit codes: 0 on success (including a negative membership verdict),
-1 for input or parse problems, 2 for an invalid filtration, 3 when a
-verification report contains a failed check, 4 when an internal
-invariant fails (a bug in the library, not in the input).
+1 for input or parse problems or an input refused as too large, 2 for
+an invalid filtration, 3 when a verification report contains a failed
+check, 4 when an internal invariant fails (a bug in the library, not in
+the input).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidFiltration, InvariantError, PolyParseError, SubalgError
+from .errors import InvalidFiltration, InvariantError, SubalgError
 from .functionals import (
     Condition,
     ConditionKind,
@@ -460,10 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (OSError, SessionError, PolyParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SubalgError as exc:
+    except (OSError, SessionError, SubalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,3 +51,7 @@ class RedundantCondition(InvalidFiltration):
 
 class InvariantError(SubalgError):
     """An internal invariant failed: a bug in the library, not bad input."""
+
+
+class JetSpaceTooLarge(SubalgError):
+    """A jet space would have too many coordinates to build in reasonable time."""

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateCondition, DimensionMismatch
+from .jets import JetSpace
 from .linalg import solve
 from .poly import Partials, Point, Poly, as_fraction, as_point
 
@@ -214,18 +215,26 @@ def check_leibniz(
 
     ``span`` should be a spanning set of the algebra being tested,
     truncated by the caller to the degree bound that makes the pair test
-    conclusive for it.
+    conclusive for it.  Each element's jet (at the functional's points,
+    alpha and beta, up to the functional's order) is taken once, and
+    L(fg) is read off the truncated jet product, exact up to that order.
     """
-    a = as_point(alpha, functional.n)
-    b = as_point(beta, functional.n)
-    values = [functional.apply(f) for f in span]
-    at_alpha = [f.evaluate(a) for f in span]
-    at_beta = [f.evaluate(b) for f in span]
-    for i, f in enumerate(span):
-        for j, g in enumerate(span):
-            left = functional.apply(f * g)
-            right = at_alpha[i] * values[j] + at_beta[j] * values[i]
-            if left != right:
+    n = functional.n
+    a = as_point(alpha, n)
+    b = as_point(beta, n)
+    space = JetSpace(sorted(set(functional.points()) | {a, b}), functional.max_order, n)
+    covector = space.functional_covector(functional)
+    jets = [space.jet(f) for f in span]
+    ev_a, ev_b = space.evaluation_covector(a), space.evaluation_covector(b)
+    values = [space.pair(covector, u) for u in jets]
+    at_alpha = [space.pair(ev_a, u) for u in jets]
+    at_beta = [space.pair(ev_b, u) for u in jets]
+    for i, u in enumerate(jets):
+        for j in range(i, len(jets)):
+            product = space.pair(covector, space.product(u, jets[j]))
+            if product != at_alpha[i] * values[j] + at_beta[j] * values[i]:
+                return False
+            if product != at_alpha[j] * values[i] + at_beta[i] * values[j]:
                 return False
     return True
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from .functionals import LinearFunctional
+from .errors import JetSpaceTooLarge
 from .linalg import SparseRow
 from .poly import (
     Monomial,
@@ -28,6 +29,14 @@ from .poly import (
     monomials_up_to,
     partials_factorial,
 )
+
+if TYPE_CHECKING:
+    from .functionals import LinearFunctional
+
+# Most coordinates a jet space may have.  The derivation ansatz multiplies
+# its jets pairwise, so its cost grows with the square of this size: hours
+# past the limit.  Larger spaces are refused before any work starts.
+MAX_JET_DIM = 22_000
 
 
 def _binomial_product(a: Monomial, b: Monomial) -> int:
@@ -40,7 +49,7 @@ def _binomial_product(a: Monomial, b: Monomial) -> int:
 class JetSpace:
     """Derivative coordinates d^a f(p), |a| <= cap, over an ordered point list."""
 
-    __slots__ = ("n", "points", "cap", "coords", "_index", "_by_point")
+    __slots__ = ("n", "points", "cap", "coords", "_index")
 
     def __init__(self, points, cap: int, n: int):
         self.n = n
@@ -49,13 +58,16 @@ class JetSpace:
             raise ValueError("jet base points must be pairwise distinct")
         if not self.points:
             raise ValueError("a jet space needs at least one base point")
+        size = len(self.points) * comb(n + cap, n)
+        if size > MAX_JET_DIM:
+            raise JetSpaceTooLarge(f"refusing a jet space of {size} coordinates "
+                                   f"(order cap {cap}); the limit is {MAX_JET_DIM}")
         self.cap = cap
         partials = sorted(monomials_up_to(n, cap), key=lambda m: (sum(m), m))
         self.coords: tuple[tuple[int, Monomial], ...] = tuple(
             (pi, a) for pi in range(len(self.points)) for a in partials
         )
         self._index = {c: i for i, c in enumerate(self.coords)}
-        self._by_point = len(partials)
 
     @property
     def dim(self) -> int:

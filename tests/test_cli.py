@@ -255,6 +255,15 @@ def test_duplicate_qn_points_exit_one(capsys):
     assert err == "error: points must be pairwise distinct\n"
 
 
+def test_huge_jet_space_exits_one(capsys):
+    # N=3 at two plane points asks derivation_space for a cap-2047 jet space.
+    code, out, err = run(capsys, "qn", PLANE, "--points", "0,0;0,1", "--N", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: refusing a jet space of 4196352 coordinates")
+    assert err.count("\n") == 1
+
+
 def test_invariant_failure_exits_four(monkeypatch, capsys):
     # A codimension report that misses the dropped monomial breaks the
     # kernel-step invariant inside build_from_conditions.
@@ -269,7 +278,7 @@ def test_invariant_failure_exits_four(monkeypatch, capsys):
 
 
 def test_failed_verification_exits_three(monkeypatch, capsys):
-    def broken(flt, alpha, containment_cap=None, probe_smallest=False):
+    def broken(flt, alpha, containment_cap=None):
         return Report((CheckItem("demo", False, {"reason": "forced"}),))
 
     monkeypatch.setattr("subalg.cli.verify_main_theorem", broken)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from subalg.cli import Session
 from subalg.errors import DegenerateCondition, DimensionMismatch
 from subalg.functionals import (
     ConditionKind,
@@ -12,9 +14,12 @@ from subalg.functionals import (
     check_leibniz,
     express_in_span,
 )
-from subalg.poly import Poly, parse_poly
+from subalg.poly import Poly, as_point, parse_poly
+from subalg.qn import qn_build, qn_spec
+from subalg.sagbi import CodimReport, truncated_algebra_basis
 
 F = Fraction
+SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
 
 def P(text, n):
@@ -181,3 +186,106 @@ def test_condition_kind_constructors():
     assert kind.alpha != kind.beta
     deriv = ConditionKind.derivation((0, 0))
     assert deriv.alpha == deriv.beta
+
+
+# -- the polynomial pair loop as an oracle for the jet check ----------
+
+
+def leibniz_by_products(functional, alpha, beta, span):
+    """Multiply out every ordered pair from span and apply the functional."""
+    a = as_point(alpha, functional.n)
+    b = as_point(beta, functional.n)
+    values = [functional.apply(f) for f in span]
+    at_alpha = [f.evaluate(a) for f in span]
+    at_beta = [f.evaluate(b) for f in span]
+    for i, f in enumerate(span):
+        for j, g in enumerate(span):
+            left = functional.apply(f * g)
+            right = at_alpha[i] * values[j] + at_beta[j] * values[i]
+            if left != right:
+                return False
+    return True
+
+
+def level_spans(flt):
+    """(condition, span) per level: the span its build step validates it on."""
+    basis, report = flt.base, CodimReport(0, (), 0)
+    for level in flt.levels:
+        bound = level.condition.functional.max_order + report.conductor
+        yield level.condition, truncated_algebra_basis(basis, report, bound)
+        basis, report = level.basis, level.report
+
+
+def filtrations():
+    for name in ("a1", "a2", "a3", "a4"):
+        yield Session.load(str(SESSIONS / f"{name}.json")).build()
+    yield qn_build(qn_spec([(0, 0), (0, 1)], 2))
+    yield qn_build(qn_spec([(0,), (1,), (2,)], 3))
+
+
+def agree(functional, alpha, beta, span):
+    verdict = check_leibniz(functional, alpha, beta, span)
+    assert verdict == leibniz_by_products(functional, alpha, beta, span)
+    return verdict
+
+
+def test_check_leibniz_matches_products_on_every_level():
+    levels = 0
+    for flt in filtrations():
+        for condition, span in level_spans(flt):
+            levels += 1
+            assert agree(condition.functional, condition.kind.alpha, condition.kind.beta, span)
+    assert levels == 2 + 1 + 2 + 3 + 5 + 8
+
+
+def test_check_leibniz_matches_products_on_failures():
+    rng = random.Random(23)
+    verdicts = []
+    for flt in filtrations():
+        for condition, span in level_spans(flt):
+            functional, kind = condition.functional, condition.kind
+            n = functional.n
+            elsewhere = tuple(c + 1 for c in kind.alpha)
+            # wrong alpha, wrong beta, swapped points
+            verdicts.append(agree(functional, elsewhere, kind.beta, span))
+            verdicts.append(agree(functional, kind.alpha, elsewhere, span))
+            verdicts.append(agree(functional, kind.beta, kind.alpha, span))
+            # not a derivation: evaluation, and a derivative one order up
+            verdicts.append(agree(LinearFunctional.evaluation(kind.alpha), kind.alpha, kind.alpha, span))
+            partials = tuple(rng.randint(0, 2) for _ in range(n))
+            higher = LinearFunctional.partial_at(kind.alpha, partials)
+            verdicts.append(agree(functional + higher, kind.alpha, kind.beta, span))
+            # a span without 1, and the zero functional
+            assert span[0] == Poly.constant(n, 1)
+            verdicts.append(agree(functional, kind.alpha, kind.beta, span[1:]))
+            verdicts.append(agree(LinearFunctional.zero(n), kind.alpha, kind.beta, span))
+    assert verdicts.count(False) > len(verdicts) // 4
+    assert verdicts.count(True) > len(verdicts) // 4
+
+
+def test_check_leibniz_matches_products_on_random_spans():
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(1, 2)
+        points = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(2)]
+        functional = LinearFunctional.zero(n)
+        for _ in range(rng.randint(0, 3)):
+            partials = tuple(rng.randint(0, 2) for _ in range(n))
+            functional = functional + LinearFunctional.partial_at(
+                rng.choice(points), partials, rng.randint(-2, 2)
+            )
+        span = [
+            Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)): F(rng.randint(-3, 3)) for _ in range(3)})
+            for _ in range(rng.randint(1, 4))
+        ]
+        agree(functional, points[0], points[1], span)
+
+
+def test_check_leibniz_tests_both_orders_of_a_pair():
+    # With alpha != beta the rule is not symmetric in f and g: here
+    # (x1, 1 - x1^3) passes and (1 - x1^3, x1) fails.
+    functional = LinearFunctional.evaluation((0,), -1) + LinearFunctional.evaluation((1,), -2)
+    f, g = P("x1", 1), P("1 - x1^3", 1)
+    assert not agree(functional, (0,), (1,), [f, g])
+    assert not agree(functional, (0,), (1,), [g, f])
+    assert agree(functional, (0,), (1,), [f])

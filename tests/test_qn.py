@@ -490,10 +490,8 @@ def test_main_report_on_small_chains():
     a1 = build_from_conditions(
         1, [deriv_cond((0,), (1,)), deriv_cond((0,), (2,))], DEGREVLEX
     )
-    report = verify_main_theorem(a1, (0,), probe_smallest=True)
+    report = verify_main_theorem(a1, (0,))
     assert report.passed, report.failures()
-    by_name = {item.check: item for item in report.items}
-    assert by_name["ideal_containment"].details["smallest_passing_level"] == 3
 
     a2 = build_from_conditions(1, [chardiff_cond((1,), (-1,))], DEGREVLEX)
     report = verify_main_theorem(a2, (1,))

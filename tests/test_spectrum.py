@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from subalg.errors import JetSpaceTooLarge, SubalgError
 from subalg.functionals import (
     Condition,
     ConditionKind,
@@ -11,7 +12,7 @@ from subalg.functionals import (
     check_leibniz,
     express_in_span,
 )
-from subalg.jets import JetSpace
+from subalg.jets import MAX_JET_DIM, JetSpace
 from subalg.poly import DEGREVLEX, Poly, parse_poly
 from subalg.sagbi import build_from_conditions, truncated_algebra_basis
 from subalg.spectrum import (
@@ -89,6 +90,16 @@ def test_jet_product_matches_polynomial_product(seed=31, rounds=50):
         f = Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)): F(rng.randint(-3, 3)) for _ in range(3)})
         g = Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)): F(rng.randint(-3, 3)) for _ in range(3)})
         assert space.product(space.jet(f), space.jet(g)) == space.jet(f * g)
+
+
+def test_jet_space_refuses_huge_dimension():
+    # The qn N=3 ansatz for two plane points: cap 2047, 4,196,352 coordinates.
+    with pytest.raises(JetSpaceTooLarge, match="4196352 coordinates"):
+        JetSpace([(0, 0), (0, 1)], 2047, 2)
+    # Refused from the count alone: enumerating this space would never end.
+    with pytest.raises(SubalgError):
+        JetSpace([(0, 0, 0)], 10**9, 3)
+    assert JetSpace([(0,)], MAX_JET_DIM - 1, 1).dim == MAX_JET_DIM
 
 
 def test_functional_covector_pairs_like_apply():
