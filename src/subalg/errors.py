@@ -55,3 +55,7 @@ class InvariantError(SubalgError):
 
 class JetSpaceTooLarge(SubalgError):
     """A jet space would have too many coordinates to build in reasonable time."""
+
+
+class ContainmentTooLarge(SubalgError):
+    """A containment sweep would cover too many elements to test in reasonable time."""

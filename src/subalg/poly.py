@@ -470,7 +470,10 @@ def parse_poly(text: str, n: int) -> Poly:
             if not expect_factor:
                 break
             if kind == "number":
-                coeff *= Fraction(value.replace(" ", ""))
+                try:
+                    coeff *= Fraction(value.replace(" ", ""))
+                except ZeroDivisionError:
+                    raise PolyParseError("zero denominator", offset) from None
                 i += 1
             elif kind == "var":
                 index = int(value[1:])

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from operator import add
 from typing import Sequence
 
-from .errors import InvariantError
+from .errors import ContainmentTooLarge, InvariantError
 from .functionals import (
     Condition,
     ConditionKind,
@@ -440,7 +442,12 @@ def verify_d_of_q(
     return Report(tuple(items))
 
 
-# -- fast exact membership for bulk containment checks ----------------
+# -- the capped ideal-in-algebra sweep --------------------------------
+
+# Most elements (products times shifts) one containment sweep may test:
+# 10x the largest the test suite builds (67,500: sessions/a4.json at its
+# ansatz level, one degree above the default cap).
+MAX_CONTAINMENT_ELEMENTS = 675_000
 
 
 def _int_terms(f: Poly) -> dict[Monomial, int]:
@@ -449,88 +456,80 @@ def _int_terms(f: Poly) -> dict[Monomial, int]:
     return {mono: int(coeff * den) for mono, coeff in f.terms()}
 
 
-def _int_mul(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            value = out.get(key, 0) + ca * cb
-            if value:
-                out[key] = value
-            elif key in out:
-                del out[key]
-    return out
+def _residue_table(
+    basis: SagbiBasis, report: CodimReport, cap: int, index: dict[Monomial, int]
+) -> list[list[int]]:
+    """Rows E[k][index[m]] = rho_k(x^m) of the membership residue functionals.
 
-
-class _MembershipTable:
-    """Single-pass membership residues against cached canonical tails.
-
-    Canonical elements have tails outside the leading-monomial
-    semigroup, so cancelling every semigroup term of a polynomial in
-    one sweep leaves a residue supported on missing monomials and the
-    constants; membership is residue flatness.  Tails are stored over a
-    common denominator so the sweep runs in integer arithmetic.
+    Canonical tails lie outside the leading-monomial semigroup, so x^m is
+    congruent to minus its tail when m is a head and is its own residue
+    when m is missing; constants cost nothing.  A polynomial lies in the
+    algebra exactly when every rho_k vanishes on it.  Rows share one
+    denominator.
     """
-
-    def __init__(self, basis: SagbiBasis, report: CodimReport, cap: int):
-        self.cap = cap
-        tails: dict[Monomial, list[tuple[Monomial, Fraction]]] = {}
-        for element in truncated_algebra_basis(basis, report, cap):
-            head = element.leading_monomial(basis.order)
-            tails[head] = [(m, c) for m, c in element.terms() if m != head and sum(m) > 0]
-        self.scale = lcm(1, *(c.denominator for tail in tails.values() for _, c in tail))
-        self.tails: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {
-            mono: tuple((m, int(c * self.scale)) for m, c in tail)
-            for mono, tail in tails.items()
-        }
-
-    def member(self, int_poly: dict[Monomial, int], shift: Monomial) -> bool:
-        acc: dict[Monomial, int] = {}
-        tails = self.tails
-        scale = self.scale
-        for mono, coeff in int_poly.items():
-            key = tuple(x + y for x, y in zip(mono, shift))
-            degree = sum(key)
-            if degree == 0:
-                continue
-            if degree > self.cap:
-                raise ValueError("membership table cap exceeded")
-            tail = tails.get(key)
-            if tail is None:
-                acc[key] = acc.get(key, 0) + coeff * scale
-            else:
-                for m, t in tail:
-                    acc[m] = acc.get(m, 0) - coeff * t
-        return all(value == 0 for value in acc.values())
+    tails = {}
+    for element in truncated_algebra_basis(basis, report, cap):
+        head = element.leading_monomial(basis.order)
+        tails[head] = [(m, c) for m, c in element.terms() if m != head and sum(m) > 0]
+    scale = lcm(1, *(c.denominator for tail in tails.values() for _, c in tail))
+    rows: dict[Monomial, list[int]] = defaultdict(lambda: [0] * len(index))
+    for head, tail in tails.items():
+        for m, c in tail:
+            rows[m][index[head]] -= int(c * scale)
+    for mono in report.missing:
+        if mono in index:
+            rows[mono][index[mono]] += scale
+    return [row for row in rows.values() if any(row)]
 
 
 def _containment_counts(
     flt: ConditionFiltration, pts: PointSet, level: int, cap: int
 ) -> tuple[int, int]:
-    """(checked, failed) counts for the capped ideal-in-algebra sweep."""
+    """(checked, failed) counts for the capped ideal-in-algebra sweep.
+
+    The elements are f_1 ... f_d * x^s: one shifted monomial per point,
+    every shift within the cap.  No product is formed.  Depth i contracts
+    the residue table with its factor, E'[k][w] = sum_t f_t E[k][t + w],
+    so at a leaf column s holds the residue of the product times x^s.
+    """
     n = flt.n
     width = level * len(pts)
     if cap < width:
         return 0, 0
-    table = _MembershipTable(flt.final_basis, flt.final_report, cap)
-    families = [[_int_terms(q) for q in p_n(alpha, level)] for alpha in pts]
-    shifts = list(monomials_up_to(n, cap - width))
-    checked = 0
-    failed = 0
+    checked = comb(n + level - 1, level) ** len(pts) * comb(n + cap - width, n)
+    if checked > MAX_CONTAINMENT_ELEMENTS:
+        raise ContainmentTooLarge(
+            f"refusing a containment sweep of {checked} elements (level {level}, "
+            f"degree cap {cap}); the limit is {MAX_CONTAINMENT_ELEMENTS}"
+        )
+    # Graded order, so every lower-degree window is a prefix of the list.
+    monos = list(monomials_up_to(n, cap))
+    index = {mono: j for j, mono in enumerate(monos)}
+    families = [[list(_int_terms(q).items()) for q in p_n(alpha, level)] for alpha in pts]
+    gathers = []  # per depth: t -> the columns t + w of the next window
+    for depth, family in enumerate(families, start=1):
+        window = monos[: count_monomials_up_to(n, cap - depth * level)]
+        terms = {t for factor in family for t, _ in factor}
+        gathers.append({t: [index[tuple(map(add, t, w))] for w in window] for t in terms})
 
-    def walk(idx: int, acc: dict[Monomial, int]):
-        nonlocal checked, failed
-        if idx == len(families):
-            for shift in shifts:
-                checked += 1
-                if not table.member(acc, shift):
-                    failed += 1
-            return
-        for factor in families[idx]:
-            walk(idx + 1, _int_mul(acc, factor))
+    def failures(depth: int, table: list[list[int]]) -> int:
+        if not table:
+            return 0
+        if depth == len(families):
+            return sum(any(column) for column in zip(*table))
+        gather, total = gathers[depth], 0
+        for factor in families[depth]:
+            contracted = []
+            for row in table:
+                out = [0] * len(gather[factor[0][0]])
+                for t, c in factor:
+                    out = [o + c * row[j] for o, j in zip(out, gather[t])]
+                if any(out):
+                    contracted.append(out)
+            total += failures(depth + 1, contracted)
+        return total
 
-    walk(0, {(0,) * n: 1})
-    return checked, failed
+    return checked, failures(0, _residue_table(flt.final_basis, flt.final_report, cap, index))
 
 
 def smallest_containment_level(flt: ConditionFiltration, limit: int | None = None) -> int | None:

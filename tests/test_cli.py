@@ -189,6 +189,13 @@ def test_bad_polynomial_exits_one(capsys):
     assert err.startswith("error:")
 
 
+def test_zero_denominator_exits_one(capsys):
+    code, out, err = run(capsys, "member", A1, "1/0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: zero denominator (at position 0)\n"
+
+
 def test_bad_rational_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -261,6 +268,25 @@ def test_huge_jet_space_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: refusing a jet space of 4196352 coordinates")
+    assert err.count("\n") == 1
+
+
+def test_huge_containment_sweep_exits_one(tmp_path, capsys):
+    # The conditions of qn_spec([(0,0),(0,1),(1,0)], 2): an ansatz level of
+    # 64 asks for a sweep of 65^3 products times 15 shifts.
+    def deriv(point, partials):
+        return {"type": "derivation", "point": point, "terms": [{"partials": partials}]}
+
+    points = [["0", "0"], ["0", "1"], ["1", "0"]]
+    conditions = [
+        {"type": "chardiff", "alpha": other, "beta": points[0]} for other in points[1:]
+    ] + [deriv(point, [i]) for point in points for i in (1, 2)]
+    session = tmp_path / "three-points.json"
+    session.write_text(json.dumps({"n": 2, "conditions": conditions}))
+    code, out, err = run(capsys, "verify-main", str(session), "0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: refusing a containment sweep of 4119375 elements")
     assert err.count("\n") == 1
 
 

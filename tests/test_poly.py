@@ -67,6 +67,10 @@ def test_parse_errors_carry_position():
         P("x1^-2", 1)
     with pytest.raises(PolyParseError):
         P("x1 x2", 2)
+    for text, position in [("1/0", 0), ("x1 + 3 / 0*x1", 5)]:
+        with pytest.raises(PolyParseError, match="zero denominator") as info:
+            P(text, 1)
+        assert info.value.position == position
 
 
 def test_format_round_trip():

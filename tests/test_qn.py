@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from pathlib import Path
 
 import pytest
 
+from subalg.cli import Session
 from subalg.linalg import Echelon
 from subalg.poly import (
     DEGREVLEX,
@@ -17,6 +19,8 @@ from subalg.poly import (
 )
 from subalg.qn import (
     _IdealSlice,
+    _containment_counts,
+    _int_terms,
     CheckItem,
     Report,
     p_n,
@@ -30,11 +34,14 @@ from subalg.qn import (
     verify_main_theorem,
     verify_qprime_eq_q,
 )
-from subalg.sagbi import build_from_conditions, is_member, subduce
-from subalg.errors import DimensionMismatch
+from subalg.sagbi import build_from_conditions, is_member, subduce, truncated_algebra_basis
+from subalg.spectrum import ansatz_bound, spectrum
+from subalg.errors import ContainmentTooLarge, DimensionMismatch
 from subalg.functionals import Condition, ConditionKind, LinearFunctional, character_difference
 
 F = Fraction
+
+SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
 
 def deriv_cond(point, partials, coeff=1):
@@ -504,18 +511,7 @@ def test_main_report_on_small_chains():
 
 
 def test_main_report_on_the_space_example():
-    mixed = LinearFunctional.partial_at((3, 2, 5), (1, 0, 0)) + (
-        LinearFunctional.partial_at((1, -3, 2), (0, 1, 0), -3)
-    )
-    flt = build_from_conditions(
-        3,
-        [
-            deriv_cond((1, 0, -1), (0, 0, 1)),
-            chardiff_cond((3, 2, 5), (1, -3, 2)),
-            Condition(mixed, ConditionKind.derivation((3, 2, 5))),
-        ],
-        DEGREVLEX,
-    )
+    flt = space_example()
     report = verify_main_theorem(flt, (3, 2, 5))
     assert report.passed, report.failures()
     by_name = {item.check: item for item in report.items}
@@ -525,6 +521,136 @@ def test_main_report_on_the_space_example():
         "derivations": 6,
         "cotangent": 6,
     }
+
+
+def space_example():
+    mixed = LinearFunctional.partial_at((3, 2, 5), (1, 0, 0)) + (
+        LinearFunctional.partial_at((1, -3, 2), (0, 1, 0), -3)
+    )
+    return build_from_conditions(
+        3,
+        [
+            deriv_cond((1, 0, -1), (0, 0, 1)),
+            chardiff_cond((3, 2, 5), (1, -3, 2)),
+            Condition(mixed, ConditionKind.derivation((3, 2, 5))),
+        ],
+        DEGREVLEX,
+    )
+
+
+# -- the product sweep as an oracle for the contracted one ------------
+
+
+def _int_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            value = out.get(key, 0) + ca * cb
+            if value:
+                out[key] = value
+            elif key in out:
+                del out[key]
+    return out
+
+
+class MembershipTable:
+    """Single-pass membership residues against cached canonical tails.
+
+    Cancelling every semigroup term of a polynomial in one sweep leaves a
+    residue supported on missing monomials and the constants; membership
+    is residue flatness.  Tails share one denominator, ``scale``.
+    """
+
+    def __init__(self, basis, report, cap):
+        self.cap = cap
+        tails = {}
+        for element in truncated_algebra_basis(basis, report, cap):
+            head = element.leading_monomial(basis.order)
+            tails[head] = [(m, c) for m, c in element.terms() if m != head and sum(m) > 0]
+        self.scale = lcm(1, *(c.denominator for tail in tails.values() for _, c in tail))
+        self.tails = {
+            mono: tuple((m, int(c * self.scale)) for m, c in tail)
+            for mono, tail in tails.items()
+        }
+
+    def member(self, int_poly, shift):
+        acc = {}
+        for mono, coeff in int_poly.items():
+            key = tuple(x + y for x, y in zip(mono, shift))
+            degree = sum(key)
+            if degree == 0:
+                continue
+            if degree > self.cap:
+                raise ValueError("membership table cap exceeded")
+            tail = self.tails.get(key)
+            if tail is None:
+                acc[key] = acc.get(key, 0) + coeff * self.scale
+            else:
+                for m, t in tail:
+                    acc[m] = acc.get(m, 0) - coeff * t
+        return all(value == 0 for value in acc.values())
+
+
+def containment_by_products(flt, pts, level, cap):
+    """(checked, failed): every product times every shift, one by one."""
+    n = flt.n
+    width = level * len(pts)
+    if cap < width:
+        return 0, 0
+    table = MembershipTable(flt.final_basis, flt.final_report, cap)
+    families = [[_int_terms(q) for q in p_n(alpha, level)] for alpha in pts]
+    shifts = list(monomials_up_to(n, cap - width))
+    checked = failed = 0
+    for combo in itertools.product(*families):
+        product = {(0,) * n: 1}
+        for factor in combo:
+            product = _int_mul(product, factor)
+        for shift in shifts:
+            checked += 1
+            failed += not table.member(product, shift)
+    return checked, failed
+
+
+def containment_cases(flt):
+    """(points, level, cap) at every level up to the ansatz bound, cap and cap + 1."""
+    pts = spectrum(flt).points
+    for level in range(1, ansatz_bound(flt) + 1):
+        cap = flt.final_report.conductor + level * len(pts)
+        yield pts, level, cap
+        yield pts, level, cap + 1
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_containment_sweep_matches_products_on_sessions(name):
+    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    counts = []
+    for pts, level, cap in containment_cases(flt):
+        got = _containment_counts(flt, pts, level, cap)
+        assert got == containment_by_products(flt, pts, level, cap), (level, cap)
+        counts.append(got)
+    assert all(checked > 0 for checked, _ in counts)
+    if name in ("a1", "a3", "a4"):
+        assert any(failed > 0 for _, failed in counts)
+    # Below the width of the products nothing is checked.
+    pts, level, cap = next(containment_cases(flt))
+    assert _containment_counts(flt, pts, level, level * len(pts) - 1) == (0, 0)
+
+
+def test_space_example_is_session_a4_with_denominators():
+    # So the a4 case of the sweep oracle covers the space example, whose
+    # tails have denominators.
+    flt = space_example()
+    a4 = Session.load(str(SESSIONS / "a4.json")).build()
+    assert flt.final_basis.gens == a4.final_basis.gens
+    assert MembershipTable(flt.final_basis, flt.final_report, 14).scale > 1
+
+
+def test_oversized_containment_sweep_is_refused():
+    # Ansatz level 64 at three plane points: 65^3 products times 15 shifts.
+    flt = qn_build(qn_spec([(0, 0), (0, 1), (1, 0)], 2))
+    with pytest.raises(ContainmentTooLarge, match="4119375 elements"):
+        verify_main_theorem(flt, (0, 0))
 
 
 def test_smallest_containment_levels():
