@@ -72,6 +72,14 @@ def _point(value, n: int) -> Point:
 
 
 def condition_from_json(obj, n: int) -> Condition:
+    """One session condition; every malformed one raises ``SessionError``."""
+    try:
+        return _condition(obj, n)
+    except SubalgError as exc:
+        raise SessionError(str(exc)) from exc
+
+
+def _condition(obj, n: int) -> Condition:
     if not isinstance(obj, dict):
         raise SessionError("each condition must be a JSON object")
     kind = obj.get("type")
@@ -95,6 +103,8 @@ def condition_from_json(obj, n: int) -> Condition:
             indices = term.get("partials")
             if not isinstance(indices, list) or not indices:
                 raise SessionError("each derivation term needs a partials list")
+            if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
+                raise SessionError(f"partials must be variable indices, got {indices!r}")
             partials = partials_from_indices(indices, n)
             coeff = _rational(term.get("coeff", 1))
             at = _point(term["point"], n) if "point" in term else point
@@ -169,7 +179,7 @@ class Session:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SessionError(f"{path}: 'n' must be a positive integer")
         order_name = order_override or data.get("order", "degrevlex")
-        if order_name not in _ORDERS:
+        if not isinstance(order_name, str) or order_name not in _ORDERS:
             raise SessionError(f"{path}: unknown order {order_name!r}")
         raw = data.get("conditions", [])
         if not isinstance(raw, list):

@@ -59,3 +59,7 @@ class JetSpaceTooLarge(SubalgError):
 
 class ContainmentTooLarge(SubalgError):
     """A containment sweep would cover too many elements to test in reasonable time."""
+
+
+class CompletionDidNotStabilize(SubalgError):
+    """Completing a generator list into a basis hit its iteration guard."""

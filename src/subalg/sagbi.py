@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    CompletionDidNotStabilize,
     InvalidFiltration,
     InvariantError,
     NotAProperCondition,
@@ -514,4 +515,4 @@ def sagbi_from_generators(
             return current
         pool.append(added)
         current = minimalize(pool, order, current.n)
-    raise RuntimeError("completion did not stabilize within the iteration guard")
+    raise CompletionDidNotStabilize("completion did not stabilize within the iteration guard")

@@ -10,16 +10,16 @@ derivatives at the cluster of the point) and keeps the combinations
 that kill the square of the maximal ideal, modulo combinations that
 kill the whole algebra; squares are handled through truncated jet
 products, so no degree-capped polynomial heuristics enter.  The
-cotangent route never looks at candidate functionals: it builds the
-maximal ideal explicitly from shifted generator products, certifies
-its jet rank, and measures the quotient by the square.  The two
-dimensions must agree, and the test suites check that they do.
+cotangent route never looks at candidate functionals or at the kernel
+of the conditions: it closes the shifted generator jets under products
+with themselves, certifies the rank of that maximal ideal, and reads
+its square off the products formed.  The two dimensions must agree,
+and the test suites check that they do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantError
 from .functionals import LinearFunctional
@@ -175,25 +175,17 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
 
     # Candidate combinations that vanish on the whole algebra: exactly the
     # elements of the condition row space supported on candidate coordinates.
-    # One row per outside coordinate c, holding condition_rows[j][c] at j.
-    transposed: dict[int, SparseRow] = {}
-    for j, row in enumerate(condition_rows):
-        for c, value in row.items():
-            if c not in slot_of:
-                transposed.setdefault(c, {})[j] = value
-    vanishing: list[SparseRow] = []
-    for s in kernel_basis(list(transposed.values()), len(condition_rows)):
-        combo: SparseRow = {}
-        for j, weight in s.items():
-            for c, value in condition_rows[j].items():
-                slot = slot_of[c]
-                entry = combo.get(slot, Fraction(0)) + weight * value
-                if entry:
-                    combo[slot] = entry
-                else:
-                    combo.pop(slot, None)
-        if combo:
-            vanishing.append(combo)
+    # With slot s moved to column space.dim + s, candidate columns come last,
+    # so the echelon rows pivoting among them span that part.
+    moved = {c: space.dim + s for c, s in slot_of.items()}
+    combos = Echelon()
+    for row in condition_rows:
+        combos.add({moved.get(c, c): v for c, v in row.items()})
+    vanishing = [
+        {c - space.dim: value for c, value in row.items()}
+        for pivot, row in combos.pivot_rows.items()
+        if pivot >= space.dim
+    ]
 
     for z in vanishing:
         for row in square_span.rows():
@@ -228,15 +220,17 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
 
 
 def cotangent_dimension(flt: ConditionFiltration, alpha) -> int:
-    """dim m/m² at ``alpha``, from explicit shifted generator products.
+    """dim m/m² at ``alpha``, by closure under the shifted generators.
 
-    The maximal ideal m is spanned by products of shifted generators
-    g − g(alpha) with at least one factor.  Their jets are accumulated
-    in increasing product degree until the rank certificate is met:
-    the jet space dimension minus one row per condition and one for
-    evaluation.  Pairwise truncated products of that spanning set give
-    the jets of m·m; derivatives beyond twice the largest condition
-    order cannot see the quotient, which keeps the cap small.
+    S holds the jets of the shifted generators g − g(alpha).  Each row
+    newly added to the echelon of m is multiplied by every s in S and
+    the product goes back on the frontier, so the echelon closes on the
+    jets of m.  Those products span the jets of m²: a monomial in the
+    shifted generators with at least two factors is one with at least
+    one factor times some s, and taking jets is a ring homomorphism.
+    The rank of m is certified as the jet dimension minus one row per
+    condition and one for evaluation; derivatives beyond twice the
+    largest condition order cannot see the quotient.
     """
     n = flt.n
     point = as_point(alpha, n)
@@ -244,57 +238,24 @@ def cotangent_dimension(flt: ConditionFiltration, alpha) -> int:
     functionals = [level.condition.functional for level in flt.levels]
     max_atom = max((f.max_order for f in functionals), default=0)
     cap = 2 * (1 + max_atom) - 1
-    base_points = sorted(set(spec.points) | {point})
-    space = JetSpace(base_points, cap, n)
+    space = JetSpace(sorted(set(spec.points) | {point}), cap, n)
     target_rank = space.dim - (len(functionals) + 1)
 
-    final = flt.final_basis
-    degrees = [g.total_degree() for g in final.gens]
-    shifted_jets = [
-        space.jet(g - Poly.constant(n, g.evaluate(point))) for g in final.gens
-    ]
-    unit = space.jet(Poly.constant(n, 1))
-
+    gens = flt.final_basis.gens
+    shifted = [space.jet(g - Poly.constant(n, g.evaluate(point))) for g in gens]
     ideal_span = Echelon()
-
-    def absorb(jet: SparseRow) -> bool:
-        ideal_span.add(dict(jet))
-        return ideal_span.rank >= target_rank
-
-    class _Done(Exception):
-        pass
-
-    def scan(idx: int, remaining: int, jet: SparseRow) -> None:
-        if remaining == 0:
-            if absorb(jet):
-                raise _Done
-            return
-        if idx == len(degrees):
-            return
-        current = jet
-        multiples = 0
-        while True:
-            scan(idx + 1, remaining - multiples * degrees[idx], current)
-            multiples += 1
-            if multiples * degrees[idx] > remaining:
-                return
-            current = space.product(current, shifted_jets[idx])
-
-    hard_cap = cap * len(base_points) + flt.final_report.conductor
-    hard_cap += max(degrees, default=0) + 4
-    try:
-        for degree in range(1, hard_cap + 1):
-            scan(0, degree, unit)
-    except _Done:
-        pass
+    square_span = Echelon()
+    frontier = list(shifted)
+    while frontier:
+        row = ideal_span.add(frontier.pop())
+        if row is None:
+            continue
+        for s in shifted:
+            product = space.product(row, s)
+            square_span.add(product)
+            frontier.append(product)
     if ideal_span.rank != target_rank:
         raise InvariantError(
             "maximal ideal span failed to reach its certified jet rank"
         )
-
-    ideal_rows = list(ideal_span.rows())
-    square_span = Echelon()
-    for i, u in enumerate(ideal_rows):
-        for v in ideal_rows[i:]:
-            square_span.add(space.product(u, v))
     return target_rank - square_span.rank

@@ -3,8 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from subalg.cli import (
     Session,
+    SessionError,
     condition_from_json,
     functional_to_derivation_json,
     main,
@@ -211,6 +214,42 @@ def test_bad_rational_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "build", str(bad))
     assert code == 1
     assert "bad rational" in err
+
+
+def test_malformed_partials_exit_one(tmp_path, capsys):
+    for partials in ([True], ["a"], [1.5], [[1]], [None]):
+        bad = tmp_path / "partials.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "n": 1,
+                    "conditions": [
+                        {
+                            "type": "derivation",
+                            "point": ["0"],
+                            "terms": [{"partials": partials}],
+                        }
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, "build", str(bad))
+        assert code == 1, partials
+        assert out == ""
+        assert err.startswith("error: partials must be variable indices")
+        assert err.count("\n") == 1
+        term = {"partials": partials}
+        with pytest.raises(SessionError):
+            condition_from_json({"type": "derivation", "point": ["0"], "terms": [term]}, 1)
+
+
+def test_unhashable_order_exits_one(tmp_path, capsys):
+    bad = tmp_path / "order.json"
+    bad.write_text(json.dumps({"n": 1, "order": [], "conditions": []}))
+    code, out, err = run(capsys, "build", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: unknown order []\n"
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from subalg.cli import Session
 from subalg.errors import JetSpaceTooLarge, SubalgError
 from subalg.functionals import (
     Condition,
@@ -13,10 +15,14 @@ from subalg.functionals import (
     express_in_span,
 )
 from subalg.jets import MAX_JET_DIM, JetSpace
-from subalg.poly import DEGREVLEX, Poly, parse_poly
+from subalg.linalg import Echelon, kernel_basis
+from subalg.poly import DEGREVLEX, Poly, as_point, parse_poly
+from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import build_from_conditions, truncated_algebra_basis
 from subalg.spectrum import (
+    DerivationSpace,
     Spectrum,
+    _ordered_partials,
     ansatz_bound,
     are_equivalent,
     cotangent_dimension,
@@ -25,6 +31,8 @@ from subalg.spectrum import (
 )
 
 F = Fraction
+
+SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
 
 def deriv_cond(point, partials, coeff=1):
@@ -315,3 +323,223 @@ def test_chardiff_merge_adds_dimensions():
         1, [deriv_cond((0,), (1,)), chardiff_cond((0,), (3,))], DEGREVLEX
     )
     assert derivation_space(merged, (0,)).dimension == dim_at_0 + dim_at_3
+
+
+# -- oracles: the earlier cotangent scan and vanishing kernel ---------
+
+
+def cotangent_by_scan(flt, alpha):
+    """dim m/m² from a degree-ordered scan of shifted generator products.
+
+    The maximal ideal is accumulated from products of shifted generators
+    in increasing degree until its rank certificate is met; the square
+    is spanned by all pairs of the accumulated rows.
+    """
+    n = flt.n
+    point = as_point(alpha, n)
+    spec = spectrum(flt)
+    functionals = [level.condition.functional for level in flt.levels]
+    max_atom = max((f.max_order for f in functionals), default=0)
+    cap = 2 * (1 + max_atom) - 1
+    base_points = sorted(set(spec.points) | {point})
+    space = JetSpace(base_points, cap, n)
+    target_rank = space.dim - (len(functionals) + 1)
+
+    final = flt.final_basis
+    degrees = [g.total_degree() for g in final.gens]
+    shifted_jets = [
+        space.jet(g - Poly.constant(n, g.evaluate(point))) for g in final.gens
+    ]
+    unit = space.jet(Poly.constant(n, 1))
+    ideal_span = Echelon()
+
+    class Done(Exception):
+        pass
+
+    def scan(idx, remaining, jet):
+        if remaining == 0:
+            ideal_span.add(dict(jet))
+            if ideal_span.rank >= target_rank:
+                raise Done
+            return
+        if idx == len(degrees):
+            return
+        current = jet
+        multiples = 0
+        while True:
+            scan(idx + 1, remaining - multiples * degrees[idx], current)
+            multiples += 1
+            if multiples * degrees[idx] > remaining:
+                return
+            current = space.product(current, shifted_jets[idx])
+
+    hard_cap = cap * len(base_points) + flt.final_report.conductor
+    hard_cap += max(degrees, default=0) + 4
+    try:
+        for degree in range(1, hard_cap + 1):
+            scan(0, degree, unit)
+    except Done:
+        pass
+    assert ideal_span.rank == target_rank
+
+    ideal_rows = ideal_span.rows()
+    square_span = Echelon()
+    for i, u in enumerate(ideal_rows):
+        for v in ideal_rows[i:]:
+            square_span.add(space.product(u, v))
+    return target_rank - square_span.rank
+
+
+def derivation_space_by_transposed_kernel(flt, alpha):
+    """``derivation_space`` with the vanishing combinations from a kernel.
+
+    The combinations of condition rows that are zero outside the
+    candidate coordinates come from the kernel of the transposed
+    outside block, recombined onto the candidate slots.
+    """
+    n = flt.n
+    point = as_point(alpha, n)
+    spec = spectrum(flt)
+    in_spectrum = point in spec.points
+    cluster = spec.cluster_of(point) if in_spectrum else (point,)
+    N = ansatz_bound(flt)
+    cand_cap = 2 * N - 1 if in_spectrum else 1
+    functionals = [level.condition.functional for level in flt.levels]
+    max_atom = max((f.max_order for f in functionals), default=0)
+    cap = max(cand_cap, max_atom)
+    base_points = list(spec.points)
+    if not in_spectrum:
+        base_points.append(point)
+    space = JetSpace(base_points, cap, n)
+
+    condition_rows = [space.functional_covector(f) for f in functionals]
+    eval_row = space.evaluation_covector(point)
+    ideal_jets = kernel_basis(condition_rows + [eval_row], space.dim)
+
+    candidates = []
+    for p in cluster:
+        pi = space.point_index(p)
+        for a in _ordered_partials(n, 1, cand_cap):
+            candidates.append((pi, a))
+    slot_of = {space.index(pi, a): s for s, (pi, a) in enumerate(candidates)}
+
+    square_span = Echelon()
+    covered = set()
+    for i, u in enumerate(ideal_jets):
+        for v in ideal_jets[i:]:
+            product = space.product(u, v)
+            projected = {
+                slot_of[c]: value for c, value in product.items() if c in slot_of
+            }
+            if not projected:
+                continue
+            if len(projected) == 1:
+                slot = next(iter(projected))
+                if slot in covered:
+                    continue
+                covered.add(slot)
+            square_span.add(projected)
+
+    annihilator = kernel_basis(square_span.rows(), len(candidates))
+
+    transposed = {}
+    for j, row in enumerate(condition_rows):
+        for c, value in row.items():
+            if c not in slot_of:
+                transposed.setdefault(c, {})[j] = value
+    vanishing = []
+    for s in kernel_basis(list(transposed.values()), len(condition_rows)):
+        combo = {}
+        for j, weight in s.items():
+            for c, value in condition_rows[j].items():
+                slot = slot_of[c]
+                entry = combo.get(slot, F(0)) + weight * value
+                if entry:
+                    combo[slot] = entry
+                else:
+                    combo.pop(slot, None)
+        if combo:
+            vanishing.append(combo)
+
+    for z in vanishing:
+        for row in square_span.rows():
+            assert space.pair(z, row) == 0
+
+    quotient = Echelon()
+    for z in vanishing:
+        quotient.add(z)
+    relations = quotient.rank
+    representatives = [t for t in annihilator if quotient.add(t) is not None]
+
+    basis = []
+    for t in representatives:
+        functional = LinearFunctional.zero(n)
+        for slot in sorted(t):
+            pi, a = candidates[slot]
+            functional = functional + LinearFunctional.partial_at(
+                space.points[pi], a, t[slot]
+            )
+        basis.append(functional)
+    return DerivationSpace(
+        point=point,
+        basis=tuple(basis),
+        ansatz_order=2 * N,
+        candidates=len(candidates),
+        relations=relations,
+    )
+
+
+def session_points(name):
+    """A session's filtration with every spectrum point and one point off it."""
+    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    return flt, list(spectrum(flt).points) + [(7,) * flt.n]
+
+
+QN_CASES = [
+    ([(0, 0), (0, 1)], 2),
+    ([(0,), (1,), (2,)], 3),
+    ([(0, 0, 0), (1, 0, 0)], 2),
+]
+QN_IDS = ["plane-N2", "line-N3", "space-N2"]
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_cotangent_closure_matches_scan_on_sessions(name):
+    flt, points = session_points(name)
+    for p in points:
+        assert cotangent_dimension(flt, p) == cotangent_by_scan(flt, p), p
+
+
+@pytest.mark.parametrize("points,level", QN_CASES, ids=QN_IDS)
+def test_cotangent_closure_matches_scan_on_qn(points, level):
+    flt = qn_build(qn_spec(points, level))
+    assert cotangent_dimension(flt, points[0]) == cotangent_by_scan(flt, points[0])
+
+
+def assert_same_space(got, want):
+    assert got.basis == want.basis
+    assert got.relations == want.relations
+    assert got.candidates == want.candidates
+    assert got.ansatz_order == want.ansatz_order
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_vanishing_echelon_matches_kernel_on_sessions(name):
+    flt, points = session_points(name)
+    for p in points:
+        assert_same_space(
+            derivation_space(flt, p), derivation_space_by_transposed_kernel(flt, p)
+        )
+
+
+@pytest.mark.parametrize("points,level", QN_CASES, ids=QN_IDS)
+def test_vanishing_echelon_matches_kernel_on_qn(points, level):
+    flt = qn_build(qn_spec(points, level))
+    try:
+        want = derivation_space_by_transposed_kernel(flt, points[0])
+    except JetSpaceTooLarge:
+        # The ansatz at (0,0,0),(1,0,0) N=2 is refused either way.
+        with pytest.raises(JetSpaceTooLarge):
+            derivation_space(flt, points[0])
+        return
+    assert_same_space(derivation_space(flt, points[0]), want)
