@@ -33,9 +33,11 @@ from .poly import (
 if TYPE_CHECKING:
     from .functionals import LinearFunctional
 
-# Most coordinates a jet space may have.  The derivation ansatz multiplies
-# its jets pairwise, so its cost grows with the square of this size: hours
-# past the limit.  Larger spaces are refused before any work starts.
+# Most coordinates a jet space may have.  Condition orders set the caps:
+# validation takes the largest order, derivation and cotangent spaces twice
+# it plus one.  The derivation ansatz multiplies its ideal jets pairwise, so
+# its cost grows with the square of the size.  Larger spaces are refused
+# before any work starts.
 MAX_JET_DIM = 22_000
 
 

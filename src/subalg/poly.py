@@ -77,9 +77,6 @@ class TermOrder:
         # exponent on the last variable where they differ.
         return (deg, tuple(-e for e in reversed(mono)))
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
     def __eq__(self, other):
         return isinstance(other, TermOrder) and self.name == other.name
 
@@ -148,9 +145,6 @@ class Poly:
 
     def coeff(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.n, Fraction(0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -243,9 +237,6 @@ class Poly:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def scale(self, scalar) -> Poly:
-        return self * scalar
 
     def monic(self, order: TermOrder) -> Poly:
         _, lc = self.leading(order)

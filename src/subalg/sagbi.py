@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -44,27 +45,38 @@ def _witness_search(
 ) -> tuple[int, ...] | None:
     """Multiplicities e with sum e_i * degrees_i == target, or None.
 
-    The zero target always succeeds with the empty product.  Generators
-    all have positive total degree, so the recursion grounds out.
+    Depth first over the generators in order, keeping the first witness;
+    an explicit stack keeps high powers clear of the recursion limit.
+    Generators have positive total degree, so every branch grounds out.
     """
     if not any(target):
         return (0,) * len(degrees)
     hit = memo.get(target, _witness_search)
     if hit is not _witness_search:
         return hit
-    result = None
-    for idx, d in enumerate(degrees):
-        if all(t >= c for t, c in zip(target, d)):
-            rest = _witness_search(
-                tuple(t - c for t, c in zip(target, d)), degrees, memo
-            )
-            if rest is not None:
-                picked = list(rest)
-                picked[idx] += 1
-                result = tuple(picked)
-                break
-    memo[target] = result
-    return result
+    zero = (0,) * len(degrees)
+    child = None  # outcome of the frame finished last
+    stack = [[target, 0]]  # a target and the next generator index to try
+    while stack:
+        frame = stack[-1]
+        t, idx = frame
+        if child is not None:  # generator idx - 1 led to a witness
+            child = memo[t] = child[: idx - 1] + (child[idx - 1] + 1,) + child[idx:]
+            stack.pop()
+            continue
+        while idx < len(degrees) and any(map(lt, t, degrees[idx])):
+            idx += 1
+        if idx == len(degrees):
+            memo[t] = None
+            stack.pop()
+            continue
+        frame[1] = idx + 1
+        rest = tuple(map(sub, t, degrees[idx]))
+        child = zero if not any(rest) else memo.get(rest, _witness_search)
+        if child is _witness_search:
+            child = None
+            stack.append([rest, 0])
+    return child
 
 
 class SagbiBasis:

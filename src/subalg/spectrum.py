@@ -9,7 +9,10 @@ routes.  The primary route spans candidate functionals (pure partial
 derivatives at the cluster of the point) and keeps the combinations
 that kill the square of the maximal ideal, modulo combinations that
 kill the whole algebra; squares are handled through truncated jet
-products, so no degree-capped polynomial heuristics enter.  The
+products, so no degree-capped polynomial heuristics enter.  With k one
+more than the largest condition order, the algebra contains I = ∩ m_p^k
+over the spectrum and the point, and I ⊂ m; every derivation kills
+I² = ∩ m_p^2k, so both routes stop at jets of order 2k − 1.  The
 cotangent route never looks at candidate functionals or at the kernel
 of the conditions: it closes the shifted generator jets under products
 with themselves, certifies the rank of that maximal ideal, and reads
@@ -82,7 +85,7 @@ def spectrum(flt: ConditionFiltration) -> Spectrum:
 
 
 def ansatz_bound(flt: ConditionFiltration) -> int:
-    """Derivative order budget: each derivation level doubles it."""
+    """Level of the containment sweep: each derivation level doubles it."""
     doublings = sum(
         1 for level in flt.levels if level.condition.kind.name == "derivation"
     )
@@ -95,8 +98,9 @@ class DerivationSpace:
 
     ``basis`` elements are honest functionals on the polynomial ring;
     restricted to the algebra they satisfy the one-point Leibniz rule
-    and are linearly independent.  ``ansatz_order`` is the order bound
-    2N that shaped the candidate set, ``candidates`` its size, and
+    and are linearly independent.  ``ansatz_order`` is one more than the
+    candidates' order cap (2·max condition order + 1 at spectrum points,
+    1 elsewhere), ``candidates`` the candidate count, and
     ``relations`` the dimension of candidate combinations that vanish
     on the whole algebra (quotiented away).
     """
@@ -125,17 +129,19 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
     it kills the square of the maximal ideal m of the algebra at alpha.
     Candidate combinations are therefore intersected with the
     annihilator of the jets of m·m, then reduced modulo combinations
-    that vanish on the whole algebra (those act as zero).
+    that vanish on the whole algebra (those act as zero).  Candidates
+    stop at order 2·max_atom + 1: the algebra holds I = ∩ m_p^(max_atom+1)
+    over the spectrum and alpha, I ⊂ m, so every derivation kills I²
+    and its jets of higher order.
     """
     n = flt.n
     point = as_point(alpha, n)
     spec = spectrum(flt)
     in_spectrum = point in spec.points
     cluster = spec.cluster_of(point) if in_spectrum else (point,)
-    N = ansatz_bound(flt)
-    cand_cap = 2 * N - 1 if in_spectrum else 1
     functionals = [level.condition.functional for level in flt.levels]
     max_atom = max((f.max_order for f in functionals), default=0)
+    cand_cap = 2 * max_atom + 1 if in_spectrum else 1
     cap = max(cand_cap, max_atom)
     base_points = list(spec.points)
     if not in_spectrum:
@@ -155,21 +161,10 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
 
     # Span of jets of m·m, seen through the candidate coordinates only.
     square_span = Echelon()
-    covered: set[int] = set()
     for i, u in enumerate(ideal_jets):
         for v in ideal_jets[i:]:
             product = space.product(u, v)
-            projected = {
-                slot_of[c]: value for c, value in product.items() if c in slot_of
-            }
-            if not projected:
-                continue
-            if len(projected) == 1:
-                slot = next(iter(projected))
-                if slot in covered:
-                    continue
-                covered.add(slot)
-            square_span.add(projected)
+            square_span.add({slot_of[c]: x for c, x in product.items() if c in slot_of})
 
     annihilator = kernel_basis(square_span.rows(), len(candidates))
 
@@ -213,7 +208,7 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
     return DerivationSpace(
         point=point,
         basis=tuple(basis),
-        ansatz_order=2 * N,
+        ansatz_order=cand_cap + 1,
         candidates=len(candidates),
         relations=relations,
     )

@@ -63,6 +63,14 @@ def test_member_positive(capsys):
     assert out == "member: true\nremainder: 0\n"
 
 
+def test_member_high_power_exits_zero(capsys):
+    # The witness search walks x1^3000 down generator by generator.
+    code, out, err = run(capsys, "member", A1, "x1^3000")
+    assert code == 0
+    assert err == ""
+    assert out == "member: true\nremainder: 0\n"
+
+
 def test_codim_text(capsys):
     code, out, _ = run(capsys, "codim", A1)
     assert code == 0
@@ -301,13 +309,22 @@ def test_duplicate_qn_points_exit_one(capsys):
     assert err == "error: points must be pairwise distinct\n"
 
 
-def test_huge_jet_space_exits_one(capsys):
-    # N=3 at two plane points asks derivation_space for a cap-2047 jet space.
-    code, out, err = run(capsys, "qn", PLANE, "--points", "0,0;0,1", "--N", "3")
+def test_huge_jet_space_exits_one(tmp_path, capsys):
+    # Validating one order-60 condition in 3 variables needs a cap-60 jet space.
+    condition = {"type": "derivation", "point": [0, 0, 0], "terms": [{"partials": [1] * 60}]}
+    session = tmp_path / "order-60.json"
+    session.write_text(json.dumps({"n": 3, "conditions": [condition]}))
+    code, out, err = run(capsys, "build", str(session))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: refusing a jet space of 4196352 coordinates")
+    assert err.startswith("error: refusing a jet space of 39711 coordinates")
     assert err.count("\n") == 1
+
+
+def test_qn_level_three_runs(capsys):
+    code, out, _ = run(capsys, "qn", PLANE, "--points", "0,0;0,1", "--N", "3")
+    assert code == 0
+    assert out.endswith("all checks passed\n")
 
 
 def test_huge_containment_sweep_exits_one(tmp_path, capsys):

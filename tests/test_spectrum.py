@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from subalg.spectrum import (
     derivation_space,
     spectrum,
 )
+from test_properties import random_filtration, random_point
 
 F = Fraction
 
@@ -101,7 +103,8 @@ def test_jet_product_matches_polynomial_product(seed=31, rounds=50):
 
 
 def test_jet_space_refuses_huge_dimension():
-    # The qn N=3 ansatz for two plane points: cap 2047, 4,196,352 coordinates.
+    # The doubling ansatz cap 2·2^(derivation levels) − 1 for qn N=3 at
+    # two plane points: cap 2047, 4,196,352 coordinates.
     with pytest.raises(JetSpaceTooLarge, match="4196352 coordinates"):
         JetSpace([(0, 0), (0, 1)], 2047, 2)
     # Refused from the count alone: enumerating this space would never end.
@@ -393,9 +396,11 @@ def cotangent_by_scan(flt, alpha):
 def derivation_space_by_transposed_kernel(flt, alpha):
     """``derivation_space`` with the vanishing combinations from a kernel.
 
-    The combinations of condition rows that are zero outside the
-    candidate coordinates come from the kernel of the transposed
-    outside block, recombined onto the candidate slots.
+    Candidates run up to the doubling cap 2·ansatz_bound − 1 instead of
+    the 2·max_atom + 1 that ``derivation_space`` takes.  The
+    combinations of condition rows that are zero outside the candidate
+    coordinates come from the kernel of the transposed outside block,
+    recombined onto the candidate slots.
     """
     n = flt.n
     point = as_point(alpha, n)
@@ -516,11 +521,22 @@ def test_cotangent_closure_matches_scan_on_qn(points, level):
     assert cotangent_dimension(flt, points[0]) == cotangent_by_scan(flt, points[0])
 
 
-def assert_same_space(got, want):
+def assert_closed_form_ansatz(flt, space):
+    """Candidates are the pure partials of order 1..2·max_atom + 1 at the
+    point's cluster; off the spectrum, the first partials at the point."""
+    spec = spectrum(flt)
+    max_atom = max((lv.condition.functional.max_order for lv in flt.levels), default=0)
+    in_spectrum = space.point in spec.points
+    cand_cap = 2 * max_atom + 1 if in_spectrum else 1
+    cluster = spec.cluster_of(space.point) if in_spectrum else (space.point,)
+    assert space.ansatz_order == cand_cap + 1
+    assert space.candidates == len(cluster) * (comb(flt.n + cand_cap, flt.n) - 1)
+
+
+def assert_same_space(flt, got, want):
     assert got.basis == want.basis
     assert got.relations == want.relations
-    assert got.candidates == want.candidates
-    assert got.ansatz_order == want.ansatz_order
+    assert_closed_form_ansatz(flt, got)
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
@@ -528,18 +544,30 @@ def test_vanishing_echelon_matches_kernel_on_sessions(name):
     flt, points = session_points(name)
     for p in points:
         assert_same_space(
-            derivation_space(flt, p), derivation_space_by_transposed_kernel(flt, p)
+            flt, derivation_space(flt, p), derivation_space_by_transposed_kernel(flt, p)
         )
 
 
 @pytest.mark.parametrize("points,level", QN_CASES, ids=QN_IDS)
 def test_vanishing_echelon_matches_kernel_on_qn(points, level):
     flt = qn_build(qn_spec(points, level))
+    got = derivation_space(flt, points[0])
     try:
         want = derivation_space_by_transposed_kernel(flt, points[0])
     except JetSpaceTooLarge:
-        # The ansatz at (0,0,0),(1,0,0) N=2 is refused either way.
-        with pytest.raises(JetSpaceTooLarge):
-            derivation_space(flt, points[0])
+        # The doubling-cap ansatz at (0,0,0),(1,0,0) N=2 needs 715,520 jet
+        # coordinates; the 2·max_atom + 1 cap gives the closed form 2·(6 + 10).
+        assert got.dimension == 32 == cotangent_dimension(flt, points[0])
+        assert_closed_form_ansatz(flt, got)
         return
-    assert_same_space(derivation_space(flt, points[0]), want)
+    assert_same_space(flt, got, want)
+
+
+def test_random_filtrations_match_doubling_cap_oracle(seed=107, rounds=40):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        flt = random_filtration(rng)
+        far = random_point(rng, flt.n, lo=5, hi=9)
+        for p in list(spectrum(flt).points) + [far]:
+            want = derivation_space_by_transposed_kernel(flt, p)
+            assert_same_space(flt, derivation_space(flt, p), want)
