@@ -41,6 +41,14 @@ if TYPE_CHECKING:
 MAX_JET_DIM = 22_000
 
 
+def _refuse_oversized(npoints: int, cap: int, n: int) -> None:
+    """Raise JetSpaceTooLarge for a space of more than MAX_JET_DIM coordinates."""
+    size = npoints * comb(n + cap, n)
+    if size > MAX_JET_DIM:
+        raise JetSpaceTooLarge(f"refusing a jet space of {size} coordinates "
+                               f"(order cap {cap}); the limit is {MAX_JET_DIM}")
+
+
 def _binomial_product(a: Monomial, b: Monomial) -> int:
     out = 1
     for x, y in zip(a, b):
@@ -60,10 +68,7 @@ class JetSpace:
             raise ValueError("jet base points must be pairwise distinct")
         if not self.points:
             raise ValueError("a jet space needs at least one base point")
-        size = len(self.points) * comb(n + cap, n)
-        if size > MAX_JET_DIM:
-            raise JetSpaceTooLarge(f"refusing a jet space of {size} coordinates "
-                                   f"(order cap {cap}); the limit is {MAX_JET_DIM}")
+        _refuse_oversized(len(self.points), cap, n)
         self.cap = cap
         partials = sorted(monomials_up_to(n, cap), key=lambda m: (sum(m), m))
         self.coords: tuple[tuple[int, Monomial], ...] = tuple(

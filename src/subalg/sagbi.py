@@ -28,6 +28,7 @@ from .errors import (
     RedundantCondition,
 )
 from .functionals import Condition, LinearFunctional, check_leibniz
+from .jets import _refuse_oversized
 from .poly import (
     Monomial,
     Poly,
@@ -428,9 +429,12 @@ def build_from_conditions(
         functional = condition.functional
         if functional.n != n:
             raise InvalidFiltration(index, "condition has the wrong variable count")
+        kind = condition.kind
+        # Refuse check_leibniz's jet space before spanning the level for it.
+        points = set(functional.points()) | {kind.alpha, kind.beta}
+        _refuse_oversized(len(points), functional.max_order, n)
         bound = functional.max_order + report.conductor
         span = truncated_algebra_basis(current, report, bound)
-        kind = condition.kind
         if not check_leibniz(functional, kind.alpha, kind.beta, span):
             raise InvalidFiltration(index, "condition fails the Leibniz rule on its level")
         # For a functional that does satisfy the Leibniz rule, vanishing on

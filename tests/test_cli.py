@@ -12,6 +12,7 @@ from subalg.cli import (
     functional_to_derivation_json,
     main,
 )
+from subalg import sagbi
 from subalg.qn import CheckItem, Report
 from subalg.sagbi import CodimReport
 from subalg.spectrum import derivation_space
@@ -309,16 +310,26 @@ def test_duplicate_qn_points_exit_one(capsys):
     assert err == "error: points must be pairwise distinct\n"
 
 
-def test_huge_jet_space_exits_one(tmp_path, capsys):
+def test_huge_jet_space_exits_one(tmp_path, monkeypatch, capsys):
     # Validating one order-60 condition in 3 variables needs a cap-60 jet space.
+    # It is refused before the level's span (39,714 canonical elements) is built.
     condition = {"type": "derivation", "point": [0, 0, 0], "terms": [{"partials": [1] * 60}]}
     session = tmp_path / "order-60.json"
     session.write_text(json.dumps({"n": 3, "conditions": [condition]}))
+    spans = []
+    span = sagbi.truncated_algebra_basis
+
+    def counted(*args):
+        spans.append(args)
+        return span(*args)
+
+    monkeypatch.setattr(sagbi, "truncated_algebra_basis", counted)
     code, out, err = run(capsys, "build", str(session))
     assert code == 1
     assert out == ""
     assert err.startswith("error: refusing a jet space of 39711 coordinates")
     assert err.count("\n") == 1
+    assert spans == []
 
 
 def test_qn_level_three_runs(capsys):
@@ -357,6 +368,22 @@ def test_invariant_failure_exits_four(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: kernel step did not drop")
+
+
+def test_containment_that_checks_nothing_exits_three(monkeypatch, capsys):
+    # A degree cap below the products' degree leaves the sweep empty.
+    monkeypatch.setenv("SUBALG_MAX_DEGREE", "1")
+    code, out, _ = run(capsys, "verify-main", A4, "3,2,5", "--json")
+    assert code == 3
+    checks = {item["check"]: item for item in json.loads(out)["checks"]}
+    assert checks["ideal_containment"] == {
+        "check": "ideal_containment",
+        "pass": False,
+        "details": {"level": 4, "degree_cap": 1, "checked": 0, "failed": 0},
+    }
+    assert [name for name, item in checks.items() if not item["pass"]] == [
+        "ideal_containment"
+    ]
 
 
 def test_failed_verification_exits_three(monkeypatch, capsys):

@@ -6,12 +6,16 @@ from pathlib import Path
 
 import pytest
 
+import subalg.qn
+
 from subalg.cli import Session
 from subalg.linalg import Echelon
 from subalg.poly import (
     DEGREVLEX,
     Poly,
     TermOrder,
+    as_point,
+    count_monomials_up_to,
     format_poly,
     monomials_of_degree,
     monomials_up_to,
@@ -35,9 +39,16 @@ from subalg.qn import (
     verify_qprime_eq_q,
 )
 from subalg.sagbi import build_from_conditions, is_member, subduce, truncated_algebra_basis
-from subalg.spectrum import ansatz_bound, spectrum
+from subalg.spectrum import ansatz_bound, cotangent_dimension, derivation_space, spectrum
 from subalg.errors import ContainmentTooLarge, DimensionMismatch
-from subalg.functionals import Condition, ConditionKind, LinearFunctional, character_difference
+from subalg.functionals import (
+    Condition,
+    ConditionKind,
+    LinearFunctional,
+    character_difference,
+    check_leibniz,
+    express_in_span,
+)
 
 F = Fraction
 
@@ -483,6 +494,18 @@ def test_two_descriptions_agree_in_the_plane():
     assert by_name["missing_complement_match"].details["slice_rank"] == 40
 
 
+def test_empty_ideal_slice_fails():
+    # Below the products' degree the slice holds only the constants.
+    report = verify_qprime_eq_q([(0, 0), (0, 1)], 2, degree_cap=3)
+    by_name = {item.check: item for item in report.items}
+    assert by_name["ideal_slice_subduces"].details == {
+        "degree_cap": 3,
+        "elements": 0,
+        "failing": [],
+    }
+    assert not by_name["ideal_slice_subduces"].passed
+
+
 def test_derivation_reports_on_single_points():
     for n, level, expected in [(1, 2, 2), (1, 3, 3), (2, 2, 7)]:
         report = verify_d_of_q([(0,) * n], level, (0,) * n)
@@ -491,6 +514,156 @@ def test_derivation_reports_on_single_points():
         assert by_name["derivation_dimension"].details["computed"] == expected
     with pytest.raises(ValueError):
         verify_d_of_q([(0,)], 2, (5,))
+
+
+def verify_d_of_q_per_functional(points, level, alpha, order=DEGREVLEX):
+    """The per-functional route: one check_leibniz per expected partial,
+    then one express_in_span per basis element, over the same span."""
+    spec = qn_spec(points, level)
+    pts = spec.points
+    n = len(pts[0])
+    point = as_point(alpha, n)
+    flt = subalg.qn.qn_build(spec, order)
+    report = flt.final_report
+    space = derivation_space(flt, point)
+    per_point = count_monomials_up_to(n, 2 * level - 1) - count_monomials_up_to(
+        n, level - 1
+    )
+    expected = per_point * len(pts)
+    cot = cotangent_dimension(flt, point)
+    items = [
+        CheckItem(
+            "derivation_dimension",
+            space.dimension == expected,
+            {"computed": space.dimension, "expected": expected},
+        ),
+        CheckItem(
+            "cotangent_dimension",
+            cot == space.dimension,
+            {"cotangent": cot, "derivations": space.dimension},
+        ),
+    ]
+    span = truncated_algebra_basis(
+        flt.final_basis, report, 2 * level - 1 + report.conductor
+    )
+    expected_partials = [
+        (pt, partials)
+        for pt in pts
+        for k in range(level, 2 * level)
+        for partials in monomials_of_degree(n, k)
+    ]
+    bad_leibniz = [
+        f"order {sum(partials)} at {tuple(str(c) for c in pt)}"
+        for pt, partials in expected_partials
+        if not check_leibniz(
+            LinearFunctional.partial_at(pt, partials), point, point, span
+        )
+    ]
+    items.append(
+        CheckItem(
+            "leibniz_high_orders",
+            not bad_leibniz,
+            {"functionals": len(expected_partials), "failing": bad_leibniz},
+        )
+    )
+    span_functionals = [
+        LinearFunctional.partial_at(pt, partials) for pt, partials in expected_partials
+    ]
+    unexpressed = [
+        repr(functional)
+        for functional in space.basis
+        if express_in_span(functional, span_functionals, span) is None
+    ]
+    items.append(
+        CheckItem(
+            "basis_in_partial_span",
+            not unexpressed,
+            {"basis_size": space.dimension, "failing": unexpressed},
+        )
+    )
+    return Report(tuple(items))
+
+
+D_OF_Q_CASES = [
+    ([(0,), (1,)], 1),
+    ([(0,), (1,)], 2),
+    ([(0, 0), (0, 1)], 2),
+    ([(0,), (1,), (2,)], 3),
+    ([(0,)], 3),
+    ([(0, 0)], 2),
+]
+ORDERS = [DEGREVLEX, TermOrder("lex")]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("points, level", D_OF_Q_CASES)
+def test_derivation_report_matches_per_functional_route(points, level, order):
+    alpha = qn_spec(points, level).points[0]
+    got = verify_d_of_q(points, level, alpha, order)
+    assert got.passed, got.failures()
+    assert got == verify_d_of_q_per_functional(points, level, alpha, order)
+
+
+def build_off_by(monkeypatch, shift):
+    """Make verify_d_of_q cut its filtration at ``level + shift``."""
+    build = subalg.qn.qn_build
+
+    def shifted_build(spec, order=DEGREVLEX):
+        return build(qn_spec(spec.points, spec.level + shift), order)
+
+    monkeypatch.setattr(subalg.qn, "qn_build", shifted_build)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["degrevlex", "lex"])
+@pytest.mark.parametrize(
+    "points, level, failing",
+    [
+        ([(0,), (1,)], 2, 4),
+        ([(0, 0), (0, 1)], 2, 14),
+        ([(0,), (1,), (2,)], 3, 6),
+        ([(0,)], 3, 2),
+        ([(0, 0)], 2, 7),
+    ],
+)
+def test_derivation_report_below_the_level_matches(
+    monkeypatch, points, level, failing, order
+):
+    # One level too few: the algebra is larger, so some expected partials
+    # are no longer derivations on it.
+    build_off_by(monkeypatch, -1)
+    alpha = qn_spec(points, level).points[0]
+    got = verify_d_of_q(points, level, alpha, order)
+    assert got == verify_d_of_q_per_functional(points, level, alpha, order)
+    by_name = {item.check: item for item in got.items}
+    assert len(by_name["leibniz_high_orders"].details["failing"]) == failing
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["degrevlex", "lex"])
+@pytest.mark.parametrize(
+    "points, level, unexpressed",
+    [
+        ([(0,), (1,)], 1, 4),
+        ([(0,), (1,)], 2, 4),
+        ([(0, 0), (0, 1)], 2, 22),
+        # The span stops at degree 2·level − 1 plus the conductor, too low
+        # to tell the extra partials apart from the expected ones here.
+        ([(0,), (1,), (2,)], 3, 0),
+        ([(0,)], 3, 2),
+        ([(0, 0)], 2, 11),
+    ],
+)
+def test_derivation_report_above_the_level_matches(
+    monkeypatch, points, level, unexpressed, order
+):
+    # One level too many: the derivation basis reaches order 2·level + 1,
+    # past the expected partials, so the jet space must be capped by it.
+    build_off_by(monkeypatch, 1)
+    alpha = qn_spec(points, level).points[0]
+    got = verify_d_of_q(points, level, alpha, order)
+    assert got == verify_d_of_q_per_functional(points, level, alpha, order)
+    by_name = {item.check: item for item in got.items}
+    assert not by_name["derivation_dimension"].passed
+    assert len(by_name["basis_in_partial_span"].details["failing"]) == unexpressed
 
 
 def test_main_report_on_small_chains():
