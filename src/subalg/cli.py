@@ -382,8 +382,10 @@ def _cmd_qn(session: Session, args) -> int:
         )
     ]
     cap = _env_degree_cap()
-    items.extend(verify_qprime_eq_q(points, level, session.order, degree_cap=cap).items)
-    items.extend(verify_d_of_q(points, level, spec.points[0], session.order).items)
+    items.extend(
+        verify_qprime_eq_q(points, level, session.order, degree_cap=cap, flt=flt).items
+    )
+    items.extend(verify_d_of_q(points, level, spec.points[0], session.order, flt=flt).items)
     report = Report(tuple(items))
     text, machine = render_report(report)
     _emit(machine, args.json, text)

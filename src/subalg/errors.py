@@ -61,5 +61,9 @@ class ContainmentTooLarge(SubalgError):
     """A containment sweep would cover too many elements to test in reasonable time."""
 
 
+class QnSpecTooLarge(SubalgError):
+    """A point-set spec would have too many conditions to build in reasonable time."""
+
+
 class CompletionDidNotStabilize(SubalgError):
     """Completing a generator list into a basis hit its iteration guard."""

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DegenerateCondition, DimensionMismatch
 from .jets import JetSpace
-from .linalg import solve
+from .linalg import Echelon, solve
 from .poly import Partials, Point, Poly, as_fraction, as_point
 
 
@@ -211,20 +211,27 @@ def check_leibniz(
     beta: Sequence,
     span: Sequence[Poly],
 ) -> bool:
-    """Test L(fg) = f(alpha) L(g) + g(beta) L(f) on all ordered pairs from span.
+    """Test L(fg) = f(alpha) L(g) + g(beta) L(f) for all f, g in span(span).
 
     ``span`` should be a spanning set of the algebra being tested,
     truncated by the caller to the degree bound that makes the pair test
     conclusive for it.  Each element's jet (at the functional's points,
     alpha and beta, up to the functional's order) is taken once, and
     L(fg) is read off the truncated jet product, exact up to that order.
+    The defect L(fg) - f(alpha) L(g) - g(beta) L(f) is bilinear in the
+    jets of f and g, so it is tested in both orders on the pairs of an
+    echelon basis of the jets only: at most r(r+1)/2 products for jet
+    rank r, however long the span.
     """
     n = functional.n
     a = as_point(alpha, n)
     b = as_point(beta, n)
     space = JetSpace(sorted(set(functional.points()) | {a, b}), functional.max_order, n)
     covector = space.functional_covector(functional)
-    jets = [space.jet(f) for f in span]
+    basis = Echelon()
+    for f in span:
+        basis.add(space.jet(f))
+    jets = list(basis.pivot_rows.values())
     ev_a, ev_b = space.evaluation_covector(a), space.evaluation_covector(b)
     values = [space.pair(covector, u) for u in jets]
     at_alpha = [space.pair(ev_a, u) for u in jets]

@@ -27,7 +27,6 @@ from .poly import (
     Poly,
     as_point,
     monomials_up_to,
-    partials_factorial,
 )
 
 if TYPE_CHECKING:
@@ -47,6 +46,17 @@ def _refuse_oversized(npoints: int, cap: int, n: int) -> None:
     if size > MAX_JET_DIM:
         raise JetSpaceTooLarge(f"refusing a jet space of {size} coordinates "
                                f"(order cap {cap}); the limit is {MAX_JET_DIM}")
+
+
+def _falling_powers(e: int, x: Fraction, cap: int) -> list[tuple[int, Fraction]]:
+    """(k, d^k/dx^k of x^e at x) for k <= min(e, cap), nonzero values only."""
+    out = []
+    falling = 1
+    for k in range(min(e, cap) + 1):
+        if x or k == e:
+            out.append((k, falling * x ** (e - k)))
+        falling *= e - k
+    return out
 
 
 def _binomial_product(a: Monomial, b: Monomial) -> int:
@@ -87,13 +97,32 @@ class JetSpace:
         return self._index[(point_index, partials)]
 
     def jet(self, f: Poly) -> SparseRow:
-        """Raw derivative values of ``f``; exact via shifted expansion."""
+        """Raw derivative values of ``f``, read straight from its terms.
+
+        d^a f(p) = sum over terms c x^m with m >= a of
+        c * prod_i m_i!/(m_i - a_i)! * p_i^(m_i - a_i); only the partials
+        a within the cap are formed.
+        """
         out: SparseRow = {}
+        terms = list(f.terms())
         for pi, point in enumerate(self.points):
-            shifted = f.translate(point)
-            for mono, coeff in shifted.terms():
-                if sum(mono) <= self.cap:
-                    out[self._index[(pi, mono)]] = coeff * partials_factorial(mono)
+            values: dict[Monomial, Fraction] = {}
+            for mono, coeff in terms:
+                # (a, |a|, value) over the variables seen so far
+                partial = [((), 0, coeff)]
+                for e, x in zip(mono, point):
+                    factors = _falling_powers(e, x, self.cap)
+                    partial = [
+                        (a + (k,), order + k, value * w)
+                        for a, order, value in partial
+                        for k, w in factors
+                        if order + k <= self.cap
+                    ]
+                for a, _, value in partial:
+                    values[a] = values.get(a, 0) + value
+            for a, value in values.items():
+                if value:
+                    out[self._index[(pi, a)]] = value
         return out
 
     def product(self, u: SparseRow, v: SparseRow) -> SparseRow:

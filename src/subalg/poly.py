@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -383,13 +383,6 @@ def indices_from_partials(counts: Partials) -> list[int]:
     for i, k in enumerate(counts):
         out.extend([i + 1] * k)
     return out
-
-
-def partials_factorial(counts: Partials) -> int:
-    value = 1
-    for k in counts:
-        value *= factorial(k)
-    return value
 
 
 # -- parsing ----------------------------------------------------------

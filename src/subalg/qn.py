@@ -27,7 +27,7 @@ from math import comb, lcm
 from operator import add
 from typing import Sequence
 
-from .errors import ContainmentTooLarge, InvariantError
+from .errors import ContainmentTooLarge, InvariantError, QnSpecTooLarge
 from .functionals import (
     Condition,
     ConditionKind,
@@ -128,18 +128,31 @@ class QnSpec:
     conditions: tuple[Condition, ...]
 
 
+# Most conditions one spec may carry: 10x the largest the test suite and
+# the benchmark workloads build (11: two plane points at level 3, three
+# line points at level 4).  Every condition is one filtration level.
+MAX_QN_CONDITIONS = 110
+
+
 def qn_spec(points: Sequence[Sequence], level: int) -> QnSpec:
     """Conditions cutting the algebra: value gluing first, then derivatives.
 
     Points are sorted; character differences all target the smallest
     point; derivative conditions come in increasing order, then point,
     then exponent enumeration order.  That ordering keeps every level of
-    the resulting filtration valid.
+    the resulting filtration valid.  Specs of more than
+    MAX_QN_CONDITIONS conditions are refused before any is formed.
     """
     if level < 1:
         raise ValueError("the degree level must be at least 1")
     pts = tuple(sorted(point_set(points)))
     n = len(pts[0])
+    count = len(pts) - 1 + len(pts) * (comb(n + level - 1, n) - 1)
+    if count > MAX_QN_CONDITIONS:
+        raise QnSpecTooLarge(
+            f"refusing a point-set spec of {count} conditions (level {level}); "
+            f"the limit is {MAX_QN_CONDITIONS}"
+        )
     conditions: list[Condition] = []
     base = pts[0]
     for other in pts[1:]:
@@ -168,6 +181,17 @@ def qn_build(spec: QnSpec, order: TermOrder = DEGREVLEX) -> ConditionFiltration:
     flt = build_from_conditions(n, spec.conditions, order)
     if flt.codim != len(spec.conditions):
         raise InvariantError("every condition must cut exactly once")
+    return flt
+
+
+def _spec_filtration(
+    spec: QnSpec, order: TermOrder, flt: ConditionFiltration | None
+) -> ConditionFiltration:
+    """The spec's filtration: ``flt`` when given and built from it, else a new build."""
+    if flt is None:
+        return qn_build(spec, order)
+    if flt.order != order or flt.conditions() != spec.conditions:
+        raise ValueError("the filtration was not built from this point set, level and order")
     return flt
 
 
@@ -291,6 +315,8 @@ def verify_qprime_eq_q(
     level: int,
     order: TermOrder = DEGREVLEX,
     degree_cap: int | None = None,
+    *,
+    flt: ConditionFiltration | None = None,
 ) -> Report:
     """Check both inclusions between the two descriptions of the algebra.
 
@@ -299,10 +325,11 @@ def verify_qprime_eq_q(
     the slice up to degree D must hold at least one product and an
     echelon basis of it must subduce to zero, and the complement of the
     slice's leading monomials must reproduce the certified missing set
-    exactly.
+    exactly.  A filtration already built by ``qn_build`` for the same
+    points, level and order may be passed as ``flt``.
     """
     spec = qn_spec(points, level)
-    flt = qn_build(spec, order)
+    flt = _spec_filtration(spec, order, flt)
     basis = flt.final_basis
     report = flt.final_report
     pts = spec.points
@@ -361,6 +388,8 @@ def verify_d_of_q(
     level: int,
     alpha: Sequence,
     order: TermOrder = DEGREVLEX,
+    *,
+    flt: ConditionFiltration | None = None,
 ) -> Report:
     """Check the derivation space of the built algebra at one of its points.
 
@@ -373,6 +402,8 @@ def verify_d_of_q(
     it; these products span m² as the set sees it.  The computed basis must lie in
     their span: its rows of values on the set must lie in the row space
     of theirs.  Both checks read one jet space, one jet per element.
+    ``flt`` may pass the filtration ``qn_build`` made for the same
+    points, level and order.
     """
     spec = qn_spec(points, level)
     pts = spec.points
@@ -380,7 +411,7 @@ def verify_d_of_q(
     point = as_point(alpha, n)
     if point not in pts:
         raise ValueError("the base point must belong to the point set")
-    flt = qn_build(spec, order)
+    flt = _spec_filtration(spec, order, flt)
     report = flt.final_report
     space = derivation_space(flt, point)
     top = 2 * level - 1

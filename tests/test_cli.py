@@ -12,7 +12,7 @@ from subalg.cli import (
     functional_to_derivation_json,
     main,
 )
-from subalg import sagbi
+from subalg import cli, qn, sagbi
 from subalg.qn import CheckItem, Report
 from subalg.sagbi import CodimReport
 from subalg.spectrum import derivation_space
@@ -24,6 +24,7 @@ A2 = str(SESSIONS / "a2.json")
 A3 = str(SESSIONS / "a3.json")
 A4 = str(SESSIONS / "a4.json")
 PLANE = str(SESSIONS / "qn-two-points.json")
+BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 A1_BUILD_TEXT = """\
 level 1: derivation at (0): Functional[1*d1@(0)]
@@ -104,6 +105,23 @@ def test_qn_subcommand(capsys):
     assert code == 0
     assert out.endswith("all checks passed\n")
     assert out.count(": pass") == 8
+
+
+def test_qn_builds_its_filtration_once(monkeypatch, capsys):
+    golden = json.loads((BENCH_GOLDEN / "verify.json").read_text())
+    (task,) = [g for g in golden if g["argv"][0] == "qn"]
+    builds = []
+    build = qn.qn_build
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(qn, "qn_build", counted)
+    monkeypatch.setattr(cli, "qn_build", counted)
+    code, out, err = run(capsys, "qn", PLANE, *task["argv"][2:])
+    assert (code, out, err) == (task["code"], task["stdout"], "")
+    assert len(builds) == 1
 
 
 def test_output_is_deterministic(capsys):
@@ -330,6 +348,19 @@ def test_huge_jet_space_exits_one(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: refusing a jet space of 39711 coordinates")
     assert err.count("\n") == 1
     assert spans == []
+
+
+def test_huge_qn_spec_exits_one(monkeypatch, capsys):
+    # Two plane points at level 40: 1 + 2 * (C(41, 2) - 1) conditions.
+    builds = []
+    monkeypatch.setattr(cli, "qn_build", lambda *args: builds.append(args))
+    code, out, err = run(capsys, "qn", PLANE, "--points", "0,0;0,1", "--N", "40")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: refusing a point-set spec of 1639 conditions (level 40); the limit is 110\n"
+    )
+    assert builds == []
 
 
 def test_qn_level_three_runs(capsys):

@@ -14,6 +14,8 @@ from subalg.functionals import (
     check_leibniz,
     express_in_span,
 )
+from subalg.jets import JetSpace
+from subalg.linalg import Echelon
 from subalg.poly import Poly, as_point, parse_poly
 from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import CodimReport, truncated_algebra_basis
@@ -279,6 +281,43 @@ def test_check_leibniz_matches_products_on_random_spans():
             for _ in range(rng.randint(1, 4))
         ]
         agree(functional, points[0], points[1], span)
+
+
+def jet_rank(functional, alpha, beta, span):
+    """Rank of the span's jets in the space check_leibniz builds for them."""
+    n = functional.n
+    points = set(functional.points()) | {as_point(alpha, n), as_point(beta, n)}
+    space = JetSpace(sorted(points), functional.max_order, n)
+    jets = Echelon()
+    for f in span:
+        jets.add(space.jet(f))
+    return jets.rank
+
+
+def test_check_leibniz_pairs_only_a_basis_of_the_jets(monkeypatch):
+    # The defect is bilinear in the jets, so one check forms at most
+    # r(r+1)/2 products for jet rank r, however long the span.
+    products = []
+    product = JetSpace.product
+
+    def counted(self, u, v):
+        products.append(None)
+        return product(self, u, v)
+
+    monkeypatch.setattr(JetSpace, "product", counted)
+    levels = formed = span_pairs = 0
+    for flt in filtrations():
+        for condition, span in level_spans(flt):
+            functional, kind = condition.functional, condition.kind
+            r = jet_rank(functional, kind.alpha, kind.beta, span)
+            products.clear()
+            assert check_leibniz(functional, kind.alpha, kind.beta, span)
+            assert len(products) <= r * (r + 1) // 2
+            levels += 1
+            formed += len(products)
+            span_pairs += len(span) * (len(span) + 1) // 2
+    assert levels == 2 + 1 + 2 + 3 + 5 + 8
+    assert 0 < formed < span_pairs
 
 
 def test_check_leibniz_tests_both_orders_of_a_pair():

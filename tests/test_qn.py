@@ -22,6 +22,7 @@ from subalg.poly import (
     parse_poly,
 )
 from subalg.qn import (
+    MAX_QN_CONDITIONS,
     _IdealSlice,
     _containment_counts,
     _int_terms,
@@ -40,7 +41,7 @@ from subalg.qn import (
 )
 from subalg.sagbi import build_from_conditions, is_member, subduce, truncated_algebra_basis
 from subalg.spectrum import ansatz_bound, cotangent_dimension, derivation_space, spectrum
-from subalg.errors import ContainmentTooLarge, DimensionMismatch
+from subalg.errors import ContainmentTooLarge, DimensionMismatch, QnSpecTooLarge
 from subalg.functionals import (
     Condition,
     ConditionKind,
@@ -817,6 +818,47 @@ def test_space_example_is_session_a4_with_denominators():
     a4 = Session.load(str(SESSIONS / "a4.json")).build()
     assert flt.final_basis.gens == a4.final_basis.gens
     assert MembershipTable(flt.final_basis, flt.final_report, 14).scale > 1
+
+
+def test_spec_condition_count_is_closed_form():
+    for points, level in [
+        ([(0,)], 1), ([(0,), (1,)], 3), ([(0, 0), (0, 1)], 4), ([(0, 0, 0), (1, 0, 0)], 3),
+    ]:
+        n, size = len(points[0]), len(points)
+        count = size - 1 + size * (comb(n + level - 1, n) - 1)
+        assert len(qn_spec(points, level).conditions) == count
+
+
+def test_oversized_spec_is_refused():
+    assert len(qn_spec([(0,), (1,), (2,)], 37).conditions) == MAX_QN_CONDITIONS
+    with pytest.raises(QnSpecTooLarge, match="111 conditions"):
+        qn_spec([(0,), (1,)], 56)
+    with pytest.raises(QnSpecTooLarge, match="1639 conditions"):
+        qn_spec([(0, 0), (0, 1)], 40)
+
+
+def test_verifiers_use_a_passed_filtration(monkeypatch):
+    points, level = [(0, 0), (0, 1)], 2
+    flt = qn_build(qn_spec(points, level))
+    alpha = qn_spec(points, level).points[0]
+    expected = (verify_qprime_eq_q(points, level), verify_d_of_q(points, level, alpha))
+    monkeypatch.setattr(subalg.qn, "qn_build", None)
+    assert verify_qprime_eq_q(points, level, flt=flt) == expected[0]
+    assert verify_d_of_q(points, level, alpha, flt=flt) == expected[1]
+
+
+def test_verifiers_refuse_a_foreign_filtration():
+    points, level = [(0, 0), (0, 1)], 2
+    alpha = (0, 0)
+    for other in (
+        qn_build(qn_spec(points, level + 1)),
+        qn_build(qn_spec([(0, 0), (1, 0)], level)),
+        qn_build(qn_spec(points, level), TermOrder("lex")),
+    ):
+        with pytest.raises(ValueError, match="not built from this"):
+            verify_qprime_eq_q(points, level, flt=other)
+        with pytest.raises(ValueError, match="not built from this"):
+            verify_d_of_q(points, level, alpha, flt=other)
 
 
 def test_oversized_containment_sweep_is_refused():

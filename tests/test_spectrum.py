@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -85,6 +85,48 @@ def test_jet_reads_derivatives():
     assert values[(1, (0,))] == 3
     assert values[(1, (1,))] == 5
     assert values[(1, (2,))] == 6
+
+
+def jet_by_translate(space, f):
+    """Jet from the full shifted expansion: coefficient of x^a in f(x + p), times a!."""
+    out = {}
+    for pi, point in enumerate(space.points):
+        for mono, coeff in f.translate(point).terms():
+            if sum(mono) <= space.cap:
+                scale = 1
+                for k in mono:
+                    scale *= factorial(k)
+                out[space.index(pi, mono)] = coeff * scale
+    return out
+
+
+# Zero twice, so points with a zero coordinate come up often.
+COORDINATES = (F(0), F(0), F(-1), F(-3), F(2), F(1, 2), F(-5, 3), F(7, 4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jet_matches_shifted_expansion(n, seed=37, rounds=60):
+    rng = random.Random(seed + n)
+    for _ in range(rounds):
+        cap = rng.randint(0, 5)
+        pts = []
+        for _ in range(rng.randint(1, 3)):
+            p = tuple(rng.choice(COORDINATES) for _ in range(n))
+            if p not in pts:
+                pts.append(p)
+        space = JetSpace(pts, cap, n)
+        # terms from degree 0 up to well past the cap
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(n)): F(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 6))
+        }
+        for f in (
+            Poly(n, terms),
+            Poly.zero(n),
+            Poly.constant(n, F(rng.randint(-5, 5), 2)),
+            Poly.monomial(tuple(rng.randint(cap, cap + 3) for _ in range(n))),
+        ):
+            assert space.jet(f) == jet_by_translate(space, f)
 
 
 def test_jet_product_matches_polynomial_product(seed=31, rounds=50):
