@@ -12,8 +12,10 @@ constructions describe the same subalgebra of K[x1..xn]:
 
 The verifiers here certify that agreement instance by instance, along
 with the expected derivation-space dimensions, using exact linear
-algebra and subduction.  Results come back as reports of named checks
-rather than booleans so a caller can show which side failed and why.
+algebra: membership in the algebra is read off the residue functionals
+of its certified missing set.  Results come back as reports of named
+checks rather than booleans so a caller can show which side failed and
+why.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .sagbi import (
     ConditionFiltration,
     SagbiBasis,
     build_from_conditions,
-    subduce,
     truncated_algebra_basis,
 )
 from .spectrum import ansatz_bound, cotangent_dimension, derivation_space, spectrum
@@ -220,6 +221,7 @@ class _IdealSlice:
 
     def __init__(self, pts: PointSet, level: int, cap: int, order: TermOrder):
         self.n = len(pts[0])
+        self.cap = cap
         self.monos, self._index = _monomial_frame(self.n, cap, order)
         self._echelon = Echelon()
         self._echelon.add(_poly_row(Poly.constant(self.n, 1), self._index))
@@ -227,11 +229,15 @@ class _IdealSlice:
         width = level * len(pts)
         if cap >= width:
             shifts = list(monomials_up_to(self.n, cap - width))
+            index = self._index
             for product in pi_n(pts, level):
+                terms = product.terms()
                 for shift in shifts:
                     self.elements += 1
-                    element = product * Poly.monomial(shift)
-                    self._echelon.add(_poly_row(element, self._index))
+                    # Times x^shift: the exponents move, the coefficients stay.
+                    self._echelon.add(
+                        {index[tuple(map(add, m, shift))]: c for m, c in terms}
+                    )
 
     @property
     def rank(self) -> int:
@@ -244,21 +250,25 @@ class _IdealSlice:
         """Membership of ``f``, whose degree must be within the cap."""
         return self._echelon.contains(_poly_row(f, self._index))
 
-    def rows(self) -> list[Poly]:
-        """The echelon basis of the slice, as polynomials."""
+    def rows_outside(self, basis: SagbiBasis, report: CodimReport) -> list[Poly]:
+        """Echelon rows, in pivot order, that lie outside the algebra.
+
+        A polynomial within the cap lies in the algebra exactly when every
+        residue functional of ``_residue_table`` vanishes on it.  Membership
+        is linear and the rows span the slice, so the slice lies in the
+        algebra exactly when this list is empty.
+        """
+        table = [
+            {col: e for col, e in enumerate(residue) if e}
+            for residue in _residue_table(basis, report, self.cap, self._index)
+        ]
         return [
             Poly(self.n, {self.monos[col]: coeff for col, coeff in row.items()})
             for row in self._echelon.rows()
-        ]
-
-    def rows_outside(self, basis: SagbiBasis) -> list[Poly]:
-        """Echelon rows that do not subduce to zero against ``basis``.
-
-        Membership in the algebra is linear and the rows span the slice,
-        so the slice lies in the algebra exactly when this list is empty.
-        """
-        return [
-            row for row in self.rows() if not subduce(row, basis).remainder.is_zero()
+            if any(
+                sum(c * residue[col] for col, c in row.items() if col in residue)
+                for residue in table
+            )
         ]
 
 
@@ -322,11 +332,12 @@ def verify_qprime_eq_q(
 
     With D the certified conductor plus the ideal generation degree:
     every basis generator must land in the constants-plus-ideal slice,
-    the slice up to degree D must hold at least one product and an
-    echelon basis of it must subduce to zero, and the complement of the
-    slice's leading monomials must reproduce the certified missing set
-    exactly.  A filtration already built by ``qn_build`` for the same
-    points, level and order may be passed as ``flt``.
+    the slice up to degree D must hold at least one product and every
+    residue functional of the algebra must vanish on an echelon basis
+    of it, and the complement of the slice's leading monomials must
+    reproduce the certified missing set exactly.  A filtration already
+    built by ``qn_build`` for the same points, level and order may be
+    passed as ``flt``.
     """
     spec = qn_spec(points, level)
     flt = _spec_filtration(spec, order, flt)
@@ -352,7 +363,7 @@ def verify_qprime_eq_q(
         )
     )
 
-    stuck = [format_poly(row) for row in ideal.rows_outside(basis)]
+    stuck = [format_poly(row) for row in ideal.rows_outside(basis, report)]
     items.append(
         CheckItem(
             "ideal_slice_subduces",
@@ -413,10 +424,11 @@ def verify_d_of_q(
         raise ValueError("the base point must belong to the point set")
     flt = _spec_filtration(spec, order, flt)
     report = flt.final_report
-    space = derivation_space(flt, point)
+    sp = spectrum(flt)
+    space = derivation_space(flt, point, spec=sp)
     top = 2 * level - 1
     expected = len(pts) * (count_monomials_up_to(n, top) - count_monomials_up_to(n, level - 1))
-    cot = cotangent_dimension(flt, point)
+    cot = cotangent_dimension(flt, point, spec=sp)
 
     span = truncated_algebra_basis(flt.final_basis, report, top + report.conductor)
     jets = JetSpace(pts, max([top] + [f.max_order for f in space.basis]), n)
@@ -616,8 +628,8 @@ def verify_main_theorem(
             )
         )
 
-    space = derivation_space(flt, point)
-    cot = cotangent_dimension(flt, point)
+    space = derivation_space(flt, point, spec=sp)
+    cot = cotangent_dimension(flt, point, spec=sp)
     items.append(
         CheckItem(
             "derivation_vs_cotangent",

@@ -122,7 +122,9 @@ def _ordered_partials(n: int, low: int, high: int) -> list[Monomial]:
     return out
 
 
-def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
+def derivation_space(
+    flt: ConditionFiltration, alpha, *, spec: Spectrum | None = None
+) -> DerivationSpace:
     """Derivations at ``alpha`` from the pure-partial candidate ansatz.
 
     A functional L with L(1) = 0 is a derivation at alpha exactly when
@@ -132,11 +134,13 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
     that vanish on the whole algebra (those act as zero).  Candidates
     stop at order 2·max_atom + 1: the algebra holds I = ∩ m_p^(max_atom+1)
     over the spectrum and alpha, I ⊂ m, so every derivation kills I²
-    and its jets of higher order.
+    and its jets of higher order.  ``spec`` may pass ``spectrum(flt)``
+    when the caller already has it.
     """
     n = flt.n
     point = as_point(alpha, n)
-    spec = spectrum(flt)
+    if spec is None:
+        spec = spectrum(flt)
     in_spectrum = point in spec.points
     cluster = spec.cluster_of(point) if in_spectrum else (point,)
     functionals = [level.condition.functional for level in flt.levels]
@@ -214,7 +218,9 @@ def derivation_space(flt: ConditionFiltration, alpha) -> DerivationSpace:
     )
 
 
-def cotangent_dimension(flt: ConditionFiltration, alpha) -> int:
+def cotangent_dimension(
+    flt: ConditionFiltration, alpha, *, spec: Spectrum | None = None
+) -> int:
     """dim m/m² at ``alpha``, by closure under the shifted generators.
 
     S holds the jets of the shifted generators g − g(alpha).  Each row
@@ -225,11 +231,13 @@ def cotangent_dimension(flt: ConditionFiltration, alpha) -> int:
     one factor times some s, and taking jets is a ring homomorphism.
     The rank of m is certified as the jet dimension minus one row per
     condition and one for evaluation; derivatives beyond twice the
-    largest condition order cannot see the quotient.
+    largest condition order cannot see the quotient.  ``spec`` may pass
+    ``spectrum(flt)`` when the caller already has it.
     """
     n = flt.n
     point = as_point(alpha, n)
-    spec = spectrum(flt)
+    if spec is None:
+        spec = spectrum(flt)
     functionals = [level.condition.functional for level in flt.levels]
     max_atom = max((f.max_order for f in functionals), default=0)
     cap = 2 * (1 + max_atom) - 1

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -447,6 +448,19 @@ def test_slice_report_matches_per_element_path(points, level):
     assert got == _per_element_report(points, level)
 
 
+def slice_rows(ideal):
+    """The echelon basis of the slice, as polynomials, in pivot order."""
+    return [
+        Poly(ideal.n, {ideal.monos[col]: coeff for col, coeff in row.items()})
+        for row in ideal._echelon.rows()
+    ]
+
+
+def rows_outside_by_subduction(ideal, basis):
+    """Echelon rows that do not subduce to zero against ``basis``."""
+    return [row for row in slice_rows(ideal) if not subduce(row, basis).remainder.is_zero()]
+
+
 def test_slice_outside_the_algebra_fails_both_ways():
     # The level-1 slice of two points only glues values; the level-2
     # algebra also kills first derivatives, so the slice sticks out.
@@ -455,7 +469,7 @@ def test_slice_outside_the_algebra_fails_both_ways():
     basis = flt.final_basis
     cap = flt.final_report.conductor + 2
     ideal = _IdealSlice(pts, 1, cap, DEGREVLEX)
-    outside = ideal.rows_outside(basis)
+    outside = ideal.rows_outside(basis, flt.final_report)
     assert outside
     assert all(not subduce(row, basis).remainder.is_zero() for row in outside)
     total, stuck = _stuck_products(pts, 1, cap, basis)
@@ -465,7 +479,50 @@ def test_slice_outside_the_algebra_fails_both_ways():
     # row outside the algebra means some spanning element is outside too.
     ech, _, row = _fresh_slice(pts, 1, cap, DEGREVLEX)
     assert ech.rank == ideal.rank
-    assert all(ech.contains(row(r)) for r in ideal.rows())
+    assert all(ech.contains(row(r)) for r in slice_rows(ideal))
+
+
+H = F(1, 2)
+RESIDUE_CASES = [
+    ([(0,)], 2),
+    ([(H,)], 3),
+    ([(0,), (1,)], 2),
+    ([(-1,), (H,)], 2),
+    ([(0,), (1,), (2,)], 2),
+    ([(0,), (1,), (2,)], 3),
+    ([(0, 0)], 2),
+    ([(0, 0), (0, 1)], 2),
+    ([(-1, H), (1, 0)], 2),
+    ([(0, 0), (1, 0), (0, 1)], 2),
+    ([(0, 0, 0)], 2),
+    ([(0, 0, 0), (1, 0, -1)], 2),
+]
+SLICE_ORDERS = [DEGREVLEX, TermOrder("deglex"), TermOrder("lex")]
+
+
+def test_residue_rows_match_subduction():
+    # Each algebra against its own slice and the slice one level below,
+    # at the cap verify_qprime_eq_q uses.
+    cases = nonempty = 0
+    for points, level in RESIDUE_CASES:
+        spec = qn_spec(points, level)
+        pts = spec.points
+        for order in SLICE_ORDERS:
+            flt = qn_build(spec, order)
+            basis, report = flt.final_basis, flt.final_report
+            cap = report.conductor + level * len(pts)
+            for slice_level in (level, level - 1):
+                ideal = _IdealSlice(pts, slice_level, cap, order)
+                got = [format_poly(r) for r in ideal.rows_outside(basis, report)]
+                want = [format_poly(r) for r in rows_outside_by_subduction(ideal, basis)]
+                assert got == want, (points, level, order.name, slice_level)
+                # Shifting the exponents spans the same slice as multiplying.
+                ech, _, _ = _fresh_slice(pts, slice_level, cap, order)
+                assert ideal._echelon.rows() == ech.rows()
+                cases += 1
+                nonempty += bool(got)
+    assert cases == 72
+    assert 3 * nonempty >= cases
 
 
 def test_slice_membership_ignores_the_column_order():
@@ -695,6 +752,31 @@ def test_main_report_on_the_space_example():
         "derivations": 6,
         "cotangent": 6,
     }
+
+
+@pytest.mark.parametrize(
+    "name, alpha", [("a1", (0,)), ("a2", (1,)), ("a3", (0, 1)), ("a4", (3, 2, 5))]
+)
+def test_main_report_computes_the_spectrum_once(monkeypatch, name, alpha):
+    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return spectrum(f)
+
+    monkeypatch.setattr(subalg.qn, "spectrum", counted)
+    # The package's ``spectrum`` function shadows the submodule attribute.
+    monkeypatch.setattr(importlib.import_module("subalg.spectrum"), "spectrum", counted)
+    got = verify_main_theorem(flt, alpha)
+    assert len(calls) == 1
+    # Each callee computing its own spectrum gives the same report.
+    for callee in (derivation_space, cotangent_dimension):
+        monkeypatch.setattr(
+            subalg.qn, callee.__name__, lambda f, a, spec, callee=callee: callee(f, a)
+        )
+    assert verify_main_theorem(flt, alpha) == got
+    assert len(calls) == 4
 
 
 def space_example():
