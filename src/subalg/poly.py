@@ -160,6 +160,10 @@ class Poly:
             )
         return self._sorted
 
+    def items(self) -> Iterable[tuple[Monomial, Fraction]]:
+        """Terms in storage order: cheaper than ``terms()`` where order is moot."""
+        return self._terms.items()
+
     def monomials(self) -> Iterator[Monomial]:
         for mono, _ in self.terms():
             yield mono
@@ -308,33 +312,6 @@ class Poly:
             out = out + self.derive(tuple(unit)) * weight
             unit[i] = 0
         return out
-
-    def translate(self, shift: Sequence) -> Poly:
-        """Substitute x_i -> x_i + shift_i."""
-        sh = as_point(shift, self.n)
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            # expand prod_i (x_i + s_i)^{e_i} with binomial coefficients
-            expansion: dict[Monomial, Fraction] = {(0,) * self.n: coeff}
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                nxt: dict[Monomial, Fraction] = {}
-                for k in range(e + 1):
-                    c = Fraction(comb(e, k)) * sh[i] ** (e - k)
-                    if c == 0:
-                        continue
-                    for m, v in expansion.items():
-                        key = m[:i] + (m[i] + k,) + m[i + 1 :]
-                        nxt[key] = nxt.get(key, Fraction(0)) + v * c
-                expansion = {m: v for m, v in nxt.items() if v}
-            for m, v in expansion.items():
-                value = out.get(m, Fraction(0)) + v
-                if value:
-                    out[m] = value
-                else:
-                    out.pop(m, None)
-        return Poly(self.n, out)
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"

@@ -104,9 +104,18 @@ def pi_n(points: Sequence[Sequence], level: int) -> list[Poly]:
 
     The result has C(n + level - 1, level) ** len(points) entries, each of
     total degree ``level * len(points)``, enumerated with the first point's
-    factor varying slowest.
+    factor varying slowest.  A family of more than MAX_CONTAINMENT_ELEMENTS
+    entries is refused before any product is formed.
     """
+    if level < 1:
+        raise ValueError("the degree level must be at least 1")
     pts = point_set(points)
+    count = comb(len(pts[0]) + level - 1, level) ** len(pts)
+    if count > MAX_CONTAINMENT_ELEMENTS:
+        raise ContainmentTooLarge(
+            f"refusing a product family of {count} elements (level {level}); "
+            f"the limit is {MAX_CONTAINMENT_ELEMENTS}"
+        )
     families = [p_n(alpha, level) for alpha in pts]
     out = []
     for combo in itertools.product(*families):
@@ -487,7 +496,8 @@ def verify_d_of_q(
 
 # Most elements (products times shifts) one containment sweep may test:
 # 10x the largest the test suite builds (67,500: sessions/a4.json at its
-# ansatz level, one degree above the default cap).
+# ansatz level, one degree above the default cap).  It also bounds the
+# products one pi_n family may form.
 MAX_CONTAINMENT_ELEMENTS = 675_000
 
 

@@ -3,18 +3,23 @@
 A basis here is a finite set of monic nonconstant generators whose
 leading monomials generate, as a semigroup under exponent addition, the
 leading monomials of the whole subalgebra.  Membership then reduces to
-subduction: repeatedly cancel the leading term against a product of
-generators until nothing fits.
+subduction: repeatedly cancel the leading term against the canonical
+element with that head until nothing fits.
 
 Bases are kept in a canonical shape: generators sorted by ascending
 leading monomial, each monic, and each with every trailing monomial
 outside the leading-monomial semigroup.  Canonical shape makes equal
 subalgebras produce byte-identical generator lists, which the golden
 tests and the command line rely on.
+
+A canonical element, the member in that same shape with a given head, is
+cached per basis; in finite codimension it has at most codim + 1 terms,
+so a subduction step updates that many terms and multiplies nothing.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt, sub
@@ -80,6 +85,20 @@ def _witness_search(
     return child
 
 
+def _subtract(
+    terms: dict[Monomial, Fraction], coeff: Fraction, element: Poly
+) -> list[Monomial]:
+    """terms -= coeff * element in place; returns the monomials it created."""
+    created = [m for m, _ in element.items() if m not in terms]
+    for m, c in element.items():
+        new = terms.get(m, 0) - coeff * c
+        if new:
+            terms[m] = new
+        else:
+            del terms[m]
+    return created
+
+
 class SagbiBasis:
     """Canonicalized generators of a subalgebra, plus cached reductions."""
 
@@ -123,44 +142,57 @@ class SagbiBasis:
         return self.product_for_exponents(e)
 
     def canonical_element(self, mono: Monomial) -> Poly:
-        """The unique monic member with head ``mono`` and reduced tail.
+        """The monic member with head ``mono`` and a tail outside the semigroup.
 
-        Every monomial below the head lies outside the leading-monomial
-        semigroup, so these elements form a triangular vector-space
-        basis of the subalgebra.
+        Peel the first generator with a nonzero witness exponent off the
+        cached element of the rest, then clear the product's semigroup
+        monomials below the head in one term dict.  Their own elements'
+        tails avoid the semigroup, so one pass is complete.  An explicit
+        stack keeps high powers clear of the recursion limit.  On a true
+        basis the element is unique, and these elements form a
+        triangular vector-space basis of the subalgebra.
         """
-        cached = self._canon.get(mono)
+        canon = self._canon
+        cached = canon.get(mono)
         if cached is not None:
             return cached
-        e = self.witness(mono)
-        if e is None:
-            raise ValueError(f"{mono} is not in the leading-monomial semigroup")
-        if sum(e) == 0:
-            result = Poly.constant(self.n, 1)
-        else:
-            # Peel one generator and recurse: the cached lower element is
-            # already tail-reduced, so the product stays sparse no matter
-            # how large the witness exponents are.
-            i = next(k for k, count in enumerate(e) if count)
-            rest = tuple(m - d for m, d in zip(mono, self._degrees[i]))
-            if sum(rest) == 0:
-                base = self.gens[i]
+        root = tuple(mono)
+        pending: dict[Monomial, tuple[Poly, list]] = {}  # head -> (product, semigroup tail)
+        stack = [root]  # everything above a head is smaller than it
+        while stack:
+            head = stack[-1]
+            if head in canon:
+                stack.pop()
+            elif head in pending:  # its tail's elements are built by now
+                product, tail = pending.pop(head)
+                terms = dict(product.items())
+                for m, c in tail:
+                    _subtract(terms, c, canon[m])
+                canon[head] = Poly(self.n, terms)
             else:
-                base = self.canonical_element(rest) * self.gens[i]
-            result = self._reduce_tail(base, mono)
-        self._canon[mono] = result
-        return result
-
-    def _reduce_tail(self, p: Poly, head: Monomial) -> Poly:
-        # Tails of canonical elements avoid the semigroup entirely, so a
-        # single pass over the starting monomials is complete.
-        out = p
-        for mono, coeff in p.terms():
-            if mono == head:
-                continue
-            if self.contains_monomial(mono):
-                out = out - coeff * self.canonical_element(mono)
-        return out
+                e = self.witness(head)
+                if e is None:  # only the root can miss: rests and tails are members
+                    raise ValueError(f"{head} is not in the leading-monomial semigroup")
+                if not any(e):
+                    canon[head] = Poly.constant(self.n, 1)
+                    continue
+                i = next(k for k, count in enumerate(e) if count)
+                rest = tuple(map(sub, head, self._degrees[i]))
+                if any(rest) and rest not in canon:
+                    stack.append(rest)
+                    continue
+                product = canon[rest] * self.gens[i] if any(rest) else self.gens[i]
+                tail = [
+                    (m, c)
+                    for m, c in product.items()
+                    if m != head and self.contains_monomial(m)
+                ]
+                if not tail:  # already canonical; keep the object and its caches
+                    canon[head] = product
+                    continue
+                pending[head] = (product, tail)
+                stack.extend(m for m, _ in tail)
+        return canon[root]
 
     def __iter__(self):
         return iter(self.gens)
@@ -175,7 +207,7 @@ class SagbiBasis:
 
 @dataclass(frozen=True)
 class SubductionStep:
-    """One cancellation: subtract ``coeff`` times the product with exponents ``e``."""
+    """One cancellation: ``coeff`` times the canonical element with head Σ e_i·lm(g_i)."""
 
     coeff: Fraction
     exponents: tuple[int, ...]
@@ -188,34 +220,40 @@ class SubductionResult:
 
 
 def subduce(f: Poly, basis: SagbiBasis) -> SubductionResult:
-    """Cancel leading terms of ``f`` against generator products.
+    """Cancel leading terms of ``f`` against canonical elements.
 
     Stops when the remainder is zero or its leading monomial falls
-    outside the leading-monomial semigroup.  The leading monomial
-    strictly decreases at every step; both exit conditions are checked.
+    outside the leading-monomial semigroup.  A canonical tail avoids the
+    semigroup, so a step touches only that element's terms of the one
+    remainder dict, and a queue sorted by the term order yields the next
+    leading monomial.  The leading monomial strictly decreases at every
+    step; both exit conditions are checked.
     """
     steps: list[SubductionStep] = []
-    rem = f
-    order = basis.order
+    key = basis.order.key
+    rem = dict(f.items())
+    queue = sorted((key(m), m) for m in rem)  # ascending; stale entries are skipped
     previous_key = None
-    guard = 0
-    while not rem.is_zero():
-        mono, coeff = rem.leading(order)
-        key = order.key(mono)
-        if previous_key is not None and key >= previous_key:
+    while queue:
+        mono_key, mono = queue.pop()
+        coeff = rem.get(mono)
+        if coeff is None:
+            continue
+        if previous_key is not None and mono_key >= previous_key:
             raise InvariantError("subduction failed to descend")
-        previous_key = key
+        previous_key = mono_key
         exponents = basis.witness(mono)
         if exponents is None:
             break
-        rem = rem - coeff * basis.product_for(mono)
+        for m in _subtract(rem, coeff, basis.canonical_element(mono)):
+            insort(queue, (key(m), m))
         steps.append(SubductionStep(coeff, exponents))
-        guard += 1
-        if guard > _ZERO_STEP_GUARD:
+        if len(steps) > _ZERO_STEP_GUARD:
             raise InvariantError("subduction exceeded the step guard")
-    if not rem.is_zero() and basis.witness(rem.leading_monomial(order)) is not None:
+    remainder = Poly(f.n, rem)
+    if rem and basis.witness(remainder.leading_monomial(basis.order)) is not None:
         raise InvariantError("subduction stopped on a reducible leading monomial")
-    return SubductionResult(rem, tuple(steps))
+    return SubductionResult(remainder, tuple(steps))
 
 
 def is_member(f: Poly, basis: SagbiBasis) -> bool:

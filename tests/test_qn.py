@@ -81,7 +81,7 @@ def random_poly(rng, n, degree, terms=4):
 
 
 def translate(f, alpha):
-    """f with every variable shifted by the matching coordinate."""
+    """f(x - alpha): substitute x_i -> x_i - alpha_i, multiplied out term by term."""
     n = f.n
     shifted = [Poly.variable(n, i + 1) - Poly.constant(n, alpha[i]) for i in range(n)]
     out = Poly.zero(n)
@@ -948,6 +948,23 @@ def test_oversized_containment_sweep_is_refused():
     flt = qn_build(qn_spec([(0, 0), (0, 1), (1, 0)], 2))
     with pytest.raises(ContainmentTooLarge, match="4119375 elements"):
         verify_main_theorem(flt, (0, 0))
+
+
+def test_oversized_product_family_is_refused(monkeypatch):
+    # Five space points at level 4: C(6, 4)^5 = 15^5 products, over the limit.
+    formed = []
+    multiply = Poly.__mul__
+
+    def counting_mul(self, other):
+        formed.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(subalg.qn, "p_n", lambda *args: formed.append(args) or [])
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    with pytest.raises(ContainmentTooLarge, match="759375 elements"):
+        pi_n(points, 4)
+    assert formed == []
 
 
 def test_smallest_containment_levels():

@@ -1,8 +1,13 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import test_properties as invariants
+from subalg import sagbi
+from subalg.cli import Session
 from subalg.errors import (
     InvalidFiltration,
     InvariantError,
@@ -15,10 +20,13 @@ from subalg.functionals import (
     LinearFunctional,
     character_difference,
 )
-from subalg.poly import DEGREVLEX, Poly, TermOrder, monomials_of_degree, parse_poly
+from subalg.poly import DEGREVLEX, Poly, TermOrder, format_poly, monomials_of_degree, parse_poly
+from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import (
     CodimReport,
     SagbiBasis,
+    SubductionResult,
+    SubductionStep,
     bases_equivalent,
     build_from_conditions,
     codimension_certified,
@@ -32,6 +40,7 @@ from subalg.sagbi import (
     truncated_algebra_basis,
     variables_basis,
 )
+from test_acceptance import PLANE_GENERATORS, SPACE_GENERATORS
 
 F = Fraction
 
@@ -440,3 +449,242 @@ def test_random_chains_match_direct_kernel(seed=17, rounds=20):
         assert lms == [(2,), (3,)]
         for g in cut.gens:
             assert e.apply(g) == 0
+
+
+# -- the canonical-element path against its predecessors --------------
+
+SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+SESSION_NAMES = ("a1", "a2", "a3", "a4")
+# The point-set algebras the membership benchmark queries: (points, N).
+MEMBER_QN = (
+    (((0, 0), (0, 1)), 2),
+    (((0, 0, 0), (1, 0, 0)), 2),
+    (((0,), (1,), (2,)), 3),
+)
+_NONZERO = (-3, -2, -1, 1, 2, 3)
+
+
+def subduce_by_products(f, basis):
+    """Subduction that subtracts the full generator power product per step.
+
+    This is the path ``subduce`` replaced, kept as its oracle: each step
+    multiplies out ``product_for(lm)`` and subtracts it from a fresh copy
+    of the remainder.
+    """
+    steps = []
+    rem = f
+    order = basis.order
+    previous_key = None
+    while not rem.is_zero():
+        mono, coeff = rem.leading(order)
+        key = order.key(mono)
+        if previous_key is not None and key >= previous_key:
+            raise InvariantError("subduction failed to descend")
+        previous_key = key
+        exponents = basis.witness(mono)
+        if exponents is None:
+            break
+        rem = rem - coeff * basis.product_for(mono)
+        steps.append(SubductionStep(coeff, exponents))
+    return SubductionResult(rem, tuple(steps))
+
+
+def canonical_element_by_recursion(basis, mono, cache):
+    """The recursive construction ``canonical_element`` replaced, as its oracle.
+
+    Peel the first generator with a nonzero witness exponent, recurse on
+    the rest, and clear each semigroup monomial of the product's tail
+    with a fresh polynomial difference.  ``cache`` is the oracle's own.
+    """
+    if mono in cache:
+        return cache[mono]
+    e = basis.witness(mono)
+    if e is None:
+        raise ValueError(f"{mono} is not in the leading-monomial semigroup")
+    if not any(e):
+        result = Poly.constant(basis.n, 1)
+    else:
+        i = next(k for k, count in enumerate(e) if count)
+        rest = tuple(m - d for m, d in zip(mono, basis.degrees()[i]))
+        if any(rest):
+            result = canonical_element_by_recursion(basis, rest, cache) * basis.gens[i]
+        else:
+            result = basis.gens[i]
+        for m, c in list(result.terms()):
+            if m != mono and basis.contains_monomial(m):
+                result = result - c * canonical_element_by_recursion(basis, m, cache)
+    cache[mono] = result
+    return result
+
+
+def cold(basis):
+    """A copy of ``basis`` with empty witness and canonical-element caches."""
+    return SagbiBasis(basis.n, basis.order, basis.gens)
+
+
+def session_filtration(name):
+    return Session.load(str(SESSIONS / f"{name}.json")).build()
+
+
+def membership_fixtures():
+    out = [(name, session_filtration(name)) for name in SESSION_NAMES]
+    for points, level in MEMBER_QN:
+        out.append((f"qn{points}N{level}", qn_build(qn_spec(points, level))))
+    return out
+
+
+def membership_queries(flt, rng, count):
+    """Products of two combinations of canonical elements; odd ones leave A.
+
+    Each combination is a nonzero constant plus multiples of one head of
+    degree conductor + 3 and one lower head.  An odd query adds a nonzero
+    multiple of a missing monomial, so it is not a member.
+    """
+    basis = flt.final_basis
+    report = flt.final_report
+    missing = sorted(report.missing)
+    top = report.conductor + 3
+    heads = [
+        m
+        for degree in range(1, top + 1)
+        for m in sorted(monomials_of_degree(basis.n, degree))
+        if m not in report.missing
+    ]
+    highs = [m for m in heads if sum(m) == top]
+
+    def combination():
+        out = Poly.constant(basis.n, rng.choice(_NONZERO))
+        for mono in (rng.choice(highs), rng.choice(heads)):
+            out = out + rng.choice(_NONZERO) * basis.canonical_element(mono)
+        return out
+
+    queries = []
+    for k in range(count):
+        f = combination() * combination()
+        if k % 2 and missing:
+            f = f + rng.choice(_NONZERO) * Poly.monomial(rng.choice(missing))
+        queries.append((f, k % 2 == 0 or not missing))
+    return queries
+
+
+def test_canonical_element_high_power_within_default_recursion_limit():
+    basis = session_filtration("a1").final_basis
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        with pytest.raises(RecursionError):
+            canonical_element_by_recursion(cold(basis), (3000,), {})
+        element = cold(basis).canonical_element((3000,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert element == P("x1^3000", 1)
+
+
+def test_canonical_elements_match_recursive_construction(seed=41, rounds=40):
+    rng = random.Random(seed)
+    orders = [TermOrder(name) for name in ("degrevlex", "deglex", "lex")]
+    checked = 0
+    for _ in range(rounds):
+        n = rng.randint(1, 2)
+        order = rng.choice(orders)
+        flt = build_from_conditions(n, invariants.random_conditions(rng, n), order)
+        basis = cold(flt.final_basis)
+        cache = {}
+        for degree in range(flt.final_report.conductor + 4):
+            for mono in monomials_of_degree(n, degree):
+                if basis.contains_monomial(mono):
+                    expected = canonical_element_by_recursion(basis, mono, cache)
+                    assert basis.canonical_element(mono) == expected
+                    checked += 1
+    assert checked > 400
+
+
+def test_canonical_elements_match_on_incomplete_bases(seed=43, rounds=30):
+    # Generators that are not a basis of what they generate: the element
+    # depends on the peeled generator, so both constructions must peel alike.
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        n = rng.randint(1, 2)
+        by_lm = {}
+        for _ in range(rng.randint(2, 4)):
+            g = invariants.random_poly(rng, n, 3)
+            if not g.is_zero() and not g.is_constant():
+                g = g.monic(DEGREVLEX)
+                by_lm.setdefault(g.leading_monomial(DEGREVLEX), g)
+        basis = SagbiBasis(n, DEGREVLEX, [by_lm[m] for m in sorted(by_lm, key=DEGREVLEX.key)])
+        cache = {}
+        for degree in range(7):
+            for mono in monomials_of_degree(n, degree):
+                if basis.contains_monomial(mono):
+                    expected = canonical_element_by_recursion(basis, mono, cache)
+                    assert basis.canonical_element(mono) == expected
+
+
+def test_subduction_matches_product_oracle(seed=47, count=8):
+    rng = random.Random(seed)
+    for label, flt in membership_fixtures():
+        for f, member in membership_queries(flt, rng, count):
+            fast = subduce(f, cold(flt.final_basis))
+            slow = subduce_by_products(f, cold(flt.final_basis))
+            assert fast.remainder.is_zero() == slow.remainder.is_zero() == member, label
+            assert format_poly(fast.remainder) == format_poly(slow.remainder), label
+
+
+def test_random_remainders_match_product_oracle_modulo_the_algebra(seed=53, rounds=400):
+    # The product path leaves semigroup monomials below the leading missing
+    # one that a product's tail brought in; canonical tails bring in none.
+    # So lower terms may differ (19 of these 400 cases), but the verdict and
+    # the leading term agree, and the two remainders differ by a member.
+    rng = random.Random(seed)
+    orders = [TermOrder(name) for name in ("degrevlex", "deglex", "lex")]
+    for _ in range(rounds):
+        n = rng.randint(1, 2)
+        order = rng.choice(orders)
+        flt = build_from_conditions(n, invariants.random_conditions(rng, n), order)
+        basis = flt.final_basis
+        f = invariants.random_poly(rng, n, flt.final_report.conductor + 3, 8)
+        fast = subduce(f, cold(basis)).remainder
+        slow = subduce_by_products(f, cold(basis)).remainder
+        if fast != slow:
+            assert not fast.is_zero() and not slow.is_zero()
+            assert fast.leading(order) == slow.leading(order)
+            assert is_member(fast - slow, cold(basis))
+
+
+@pytest.mark.parametrize(
+    "texts, n, degree_cap",
+    [(PLANE_GENERATORS, 2, 5), (SPACE_GENERATORS, 3, 4)],
+    ids=["plane", "space"],
+)
+def test_completion_matches_product_oracle(monkeypatch, texts, n, degree_cap):
+    gens = [P(t, n) for t in texts]
+    fast = sagbi_from_generators(gens, DEGREVLEX, degree_cap)
+    monkeypatch.setattr(sagbi, "subduce", subduce_by_products)
+    slow = sagbi_from_generators(gens, DEGREVLEX, degree_cap)
+    assert gens_as_text(fast) == gens_as_text(slow)
+
+
+def test_subduction_forms_no_generator_products(monkeypatch, seed=59):
+    fixtures = [
+        (path.stem, Session.load(str(path)).build())
+        for path in sorted(SESSIONS.glob("*.json"))
+    ]
+    assert len(fixtures) == 5
+
+    rng = random.Random(seed)
+    cases = []
+    for label, flt in fixtures:
+        queries = membership_queries(flt, rng, 4)
+        queries.append((flt.final_basis.gens[-1] ** 12, True))
+        cases.append((label, flt, queries))
+
+    def refuse(*args):
+        raise AssertionError("subduction formed a generator power product")
+
+    monkeypatch.setattr(SagbiBasis, "product_for", refuse)
+    monkeypatch.setattr(SagbiBasis, "product_for_exponents", refuse)
+    for label, flt, queries in cases:
+        basis = cold(flt.final_basis)
+        for f, member in queries:
+            assert subduce(f, basis).remainder.is_zero() == member, label
+        assert bases_equivalent(basis, cold(flt.final_basis))

@@ -31,6 +31,7 @@ from subalg.spectrum import (
     spectrum,
 )
 from test_properties import random_filtration, random_point
+from test_qn import translate
 
 F = Fraction
 
@@ -91,7 +92,7 @@ def jet_by_translate(space, f):
     """Jet from the full shifted expansion: coefficient of x^a in f(x + p), times a!."""
     out = {}
     for pi, point in enumerate(space.points):
-        for mono, coeff in f.translate(point).terms():
+        for mono, coeff in translate(f, tuple(-c for c in point)).terms():
             if sum(mono) <= space.cap:
                 scale = 1
                 for k in mono:
