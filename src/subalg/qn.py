@@ -583,24 +583,6 @@ def _containment_counts(
     return checked, failures(0, _residue_table(flt.final_basis, flt.final_report, cap, index))
 
 
-def smallest_containment_level(flt: ConditionFiltration) -> int | None:
-    """The least level whose shifted-product ideal fits inside the algebra.
-
-    Scans levels from 1 up to the derivative-order budget; returns None
-    when none passes, which does not happen for validated filtrations.
-    """
-    sp = spectrum(flt)
-    if not sp.points:
-        return 1
-    report = flt.final_report
-    for level in range(1, ansatz_bound(flt) + 1):
-        cap = report.conductor + level * len(sp.points)
-        checked, failed = _containment_counts(flt, sp.points, level, cap)
-        if checked and not failed:
-            return level
-    return None
-
-
 def verify_main_theorem(
     flt: ConditionFiltration,
     alpha: Sequence,

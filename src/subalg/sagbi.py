@@ -15,14 +15,22 @@ tests and the command line rely on.
 A canonical element, the member in that same shape with a given head, is
 cached per basis; in finite codimension it has at most codim + 1 terms,
 so a subduction step updates that many terms and multiplies nothing.
+
+A filtration level cuts the kernel of one condition L from the level
+below.  The kernel's semigroup is the level's semigroup without the head
+d of the first generator where L is nonzero, so its canonical element of
+head m is the level's canonical element of m corrected by a multiple of
+that generator.  The kernel step reads its basis off those cached
+elements; the raw products of ``kernel_sagbi_raw`` remain as its oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt, sub
+from operator import add, lt, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -283,12 +291,14 @@ def minimalize(gens: Iterable[Poly], order: TermOrder, n: int | None = None) -> 
     by_lm: dict[Monomial, Poly] = {}
     for g in pool:
         by_lm.setdefault(g.leading_monomial(order), g)
-    lms = sorted(by_lm, key=order.key)
+    # A decomposition of lm uses only smaller leading monomials, and each
+    # dropped one decomposes into kept ones, so the kept list suffices.
     kept: list[Monomial] = []
-    for lm in lms:
-        others = tuple(m for m in lms if m != lm)
-        if _witness_search(lm, others, {}) is None:
+    memo: dict[Monomial, tuple[int, ...] | None] = {}
+    for lm in sorted(by_lm, key=order.key):
+        if _witness_search(lm, kept, memo) is None:
             kept.append(lm)
+            memo = {}  # its entries were searched over the shorter list
 
     rough = SagbiBasis(n, order, [by_lm[lm] for lm in kept])
     return SagbiBasis(n, order, [rough.canonical_element(lm) for lm in kept])
@@ -322,18 +332,69 @@ def kernel_sagbi_raw(basis: SagbiBasis, functional: LinearFunctional) -> list[Po
     return out
 
 
+def _pivot(basis: SagbiBasis, functional: LinearFunctional) -> tuple[int, Fraction]:
+    """The first generator index where the functional is nonzero, and its value."""
+    for i, g in enumerate(basis.gens):
+        value = functional.apply(g)
+        if value:
+            return i, value
+    raise NotAProperCondition("functional vanishes on every generator of the algebra")
+
+
+def _proper_divisors(mono: Monomial) -> Iterable[Monomial]:
+    """Every a <= mono componentwise other than 0 and mono itself."""
+    for a in itertools.product(*(range(k + 1) for k in mono)):
+        if any(a) and a != mono:
+            yield a
+
+
 def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
-    """Minimal basis of the kernel of a valid condition inside the algebra."""
-    return minimalize(kernel_sagbi_raw(basis, functional), basis.order, basis.n)
+    """Minimal basis of the kernel of a valid condition inside the algebra.
+
+    With g_j the first generator where L is nonzero and d its head, the
+    kernel's semigroup S' is S without d.  Its minimal generators have the
+    heads of ``kernel_sagbi_raw`` that are irreducible in S', read off
+    the basis's semigroup by a divisor scan.  For such a head m, with
+    c_m the basis's canonical element, c_m - (L(c_m)/L(g_j))·g_j lies in
+    the kernel, and both tails lie in the missing set, so its tail
+    avoids S': it is the kernel's canonical element with head m.  No
+    product is formed, and L meets only elements of at most codim + 1
+    terms.
+    """
+    j, value = _pivot(basis, functional)
+    degrees = basis.degrees()
+    d = degrees[j]
+    # Generators are their own canonical elements, and L vanishes on the
+    # ones before j.
+    gj = basis.gens[j]
+    vanishing = set(degrees[:j])
+    heads = {m for i, m in enumerate(degrees) if i != j}
+    heads.update(tuple(map(add, m, d)) for m in degrees)
+    heads.add(tuple(3 * k for k in d))
+
+    def in_kernel_semigroup(a: Monomial) -> bool:
+        return a != d and basis.contains_monomial(a)
+
+    gens: list[Poly] = []
+    for m in sorted(heads, key=basis.order.key):
+        if any(
+            in_kernel_semigroup(a) and in_kernel_semigroup(tuple(map(sub, m, a)))
+            for a in _proper_divisors(m)
+        ):
+            continue
+        cm = basis.canonical_element(m)
+        coeff = 0 if m in vanishing else functional.apply(cm)
+        if coeff:
+            terms = dict(cm.items())
+            _subtract(terms, coeff / value, gj)
+            cm = Poly(basis.n, terms)
+        gens.append(cm)
+    return SagbiBasis(basis.n, basis.order, gens)
 
 
 def dropped_degree(basis: SagbiBasis, functional: LinearFunctional) -> Monomial:
     """The leading monomial that leaves the semigroup when cutting the kernel."""
-    for g in basis.gens:
-        value = functional.apply(g)
-        if value != 0:
-            return g.leading_monomial(basis.order)
-    raise NotAProperCondition("functional vanishes on every generator of the algebra")
+    return basis.degrees()[_pivot(basis, functional)[0]]
 
 
 def variables_basis(n: int, order: TermOrder) -> SagbiBasis:
@@ -477,11 +538,10 @@ def build_from_conditions(
             raise InvalidFiltration(index, "condition fails the Leibniz rule on its level")
         # For a functional that does satisfy the Leibniz rule, vanishing on
         # the generators forces vanishing on the whole level.
-        if functional.is_zero() or all(
-            functional.apply(g) == 0 for g in current.gens
-        ):
-            raise RedundantCondition(index, "condition vanishes on its level")
-        dropped = dropped_degree(current, functional)
+        try:
+            dropped = dropped_degree(current, functional)
+        except NotAProperCondition:
+            raise RedundantCondition(index, "condition vanishes on its level") from None
         current = kernel_sagbi(current, functional)
         report = codimension_certified(current, len(levels) + 1)
         if set(report.missing) != set(levels[-1].report.missing if levels else ()) | {dropped}:

@@ -35,7 +35,6 @@ from subalg.qn import (
     qn_build,
     qn_spec,
     qprime_membership,
-    smallest_containment_level,
     verify_d_of_q,
     verify_main_theorem,
     verify_qprime_eq_q,
@@ -965,6 +964,24 @@ def test_oversized_product_family_is_refused(monkeypatch):
     with pytest.raises(ContainmentTooLarge, match="759375 elements"):
         pi_n(points, 4)
     assert formed == []
+
+
+def smallest_containment_level(flt):
+    """The least level whose shifted-product ideal fits inside the algebra.
+
+    Scans levels from 1 up to the derivative-order budget; returns None
+    when none passes, which does not happen for validated filtrations.
+    """
+    sp = spectrum(flt)
+    if not sp.points:
+        return 1
+    report = flt.final_report
+    for level in range(1, ansatz_bound(flt) + 1):
+        cap = report.conductor + level * len(sp.points)
+        checked, failed = _containment_counts(flt, sp.points, level, cap)
+        if checked and not failed:
+            return level
+    return None
 
 
 def test_smallest_containment_levels():

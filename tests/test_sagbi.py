@@ -688,3 +688,117 @@ def test_subduction_forms_no_generator_products(monkeypatch, seed=59):
         for f, member in queries:
             assert subduce(f, basis).remainder.is_zero() == member, label
         assert bases_equivalent(basis, cold(flt.final_basis))
+
+
+# -- the kernel step and minimalize against their predecessors --------
+
+ORDERS = tuple(TermOrder(name) for name in ("degrevlex", "deglex", "lex"))
+# The four point sets of the benchmark's qn ladder, then two plane points.
+KERNEL_QN = (
+    (((0, 0), (0, 1), (1, 0)), 2),
+    (((0, 0), (1, 1)), 3),
+    (((0, 0, 0), (1, 0, 0)), 2),
+    (((0,), (1,), (2,)), 3),
+    (((0, 0), (0, 1)), 4),
+)
+
+
+def minimalize_by_fresh_memo(gens, order, n):
+    """The loop ``minimalize`` replaced, as its oracle.
+
+    Each leading monomial is tested against all the others, each time
+    with an empty witness memo.
+    """
+    by_lm = {}
+    for g in gens:
+        if not (g.is_zero() or g.is_constant()):
+            g = g.monic(order)
+            by_lm.setdefault(g.leading_monomial(order), g)
+    lms = sorted(by_lm, key=order.key)
+    kept = [
+        lm for lm in lms
+        if sagbi._witness_search(lm, tuple(m for m in lms if m != lm), {}) is None
+    ]
+    rough = SagbiBasis(n, order, [by_lm[lm] for lm in kept])
+    return SagbiBasis(n, order, [rough.canonical_element(lm) for lm in kept])
+
+
+def kernel_by_raw_products(basis, functional):
+    """The kernel step ``kernel_sagbi`` replaced, as its oracle."""
+    return minimalize(kernel_sagbi_raw(basis, functional), basis.order, basis.n)
+
+
+def test_minimalize_matches_fresh_memo_oracle(seed=61, rounds=150):
+    rng = random.Random(seed)
+    dropped = 0
+    for k in range(rounds):
+        n = rng.randint(1, 3)
+        order = ORDERS[k % 3]
+        gens = [invariants.random_poly(rng, n, 4, 4) for _ in range(rng.randint(1, 6))]
+        # Products and powers of earlier generators make some heads redundant.
+        for _ in range(rng.randint(0, 3)):
+            gens.append(rng.choice(gens) * rng.choice(gens) + invariants.random_poly(rng, n, 2, 2))
+        rng.shuffle(gens)
+        fast = minimalize(gens, order, n)
+        slow = minimalize_by_fresh_memo(gens, order, n)
+        assert gens_as_text(fast) == gens_as_text(slow)
+        assert fast.gens == slow.gens
+        dropped += sum(1 for g in gens if not g.is_constant()) - len(fast)
+    assert dropped > 100
+
+
+def kernel_fixtures():
+    """Session filtrations in each term order, and the point-set builds."""
+    out = [
+        (f"{path.stem}/{order.name}", Session.load(str(path), order.name).build())
+        for path in sorted(SESSIONS.glob("*.json"))
+        for order in ORDERS
+    ]
+    out += [(f"qn{points}N{level}", qn_build(qn_spec(points, level))) for points, level in KERNEL_QN]
+    return out
+
+
+def random_kernel_inputs(rng, rounds):
+    """(n, conditions, order) triples for random filtrations, orders in turn."""
+    out = []
+    for k in range(rounds):
+        n = rng.randint(1, 3)
+        out.append((n, invariants.random_conditions(rng, n), ORDERS[k % 3]))
+    return out
+
+
+def test_kernel_step_matches_raw_product_oracle(seed=67, rounds=150):
+    fixtures = kernel_fixtures()
+    for n, conditions, order in random_kernel_inputs(random.Random(seed), rounds):
+        fixtures.append((f"random/{order.name}", build_from_conditions(n, conditions, order)))
+    levels = 0
+    for label, flt in fixtures:
+        below = flt.base
+        for index, level in enumerate(flt.levels, start=1):
+            functional = level.condition.functional
+            fast = kernel_sagbi(below, functional)
+            slow = kernel_by_raw_products(below, functional)
+            assert gens_as_text(fast) == gens_as_text(slow), (label, index)
+            assert fast.gens == slow.gens == level.basis.gens, (label, index)
+            below = level.basis
+            levels += 1
+    assert levels > 400
+
+
+def test_builds_form_no_raw_kernel_and_minimalize_once(monkeypatch, seed=67, rounds=150):
+    def refuse(*args):
+        raise AssertionError("a build formed the raw kernel generators")
+
+    calls = []
+
+    def counting_minimalize(*args, **kwargs):
+        calls.append(args)
+        return minimalize(*args, **kwargs)
+
+    monkeypatch.setattr(sagbi, "kernel_sagbi_raw", refuse)
+    monkeypatch.setattr(sagbi, "minimalize", counting_minimalize)
+    builds = len(kernel_fixtures())
+    for n, conditions, order in random_kernel_inputs(random.Random(seed), rounds):
+        build_from_conditions(n, conditions, order)
+        builds += 1
+    assert len(calls) == builds  # variables_basis alone
