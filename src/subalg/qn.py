@@ -58,7 +58,7 @@ from .sagbi import (
     build_from_conditions,
     truncated_algebra_basis,
 )
-from .spectrum import ansatz_bound, cotangent_dimension, derivation_space, spectrum
+from .spectrum import cotangent_dimension, derivation_space, spectrum
 
 PointSet = tuple[Point, ...]
 
@@ -419,9 +419,10 @@ def verify_d_of_q(
     independent cotangent count must agree.  The expected partials have
     L(1) = 0, so they obey the product rule on a truncated spanning set
     exactly when they kill (f − f(alpha))(g − g(alpha)) for all f, g in
-    it; these products span m² as the set sees it.  The computed basis must lie in
-    their span: its rows of values on the set must lie in the row space
-    of theirs.  Both checks read one jet space, one jet per element.
+    it; these products span m² as the set sees it.  The computed basis
+    must lie in their span: its rows of values on the set must lie in
+    the row space of theirs.  Both checks are (bi)linear in the jets, so
+    they read an echelon basis of the shifted jets in one jet space.
     ``flt`` may pass the filtration ``qn_build`` made for the same
     points, level and order.
     """
@@ -441,7 +442,10 @@ def verify_d_of_q(
 
     span = truncated_algebra_basis(flt.final_basis, report, top + report.conductor)
     jets = JetSpace(pts, max([top] + [f.max_order for f in space.basis]), n)
-    shifted = [jets.jet(f - Poly.constant(n, f.evaluate(point))) for f in span]
+    shifted_span = Echelon()
+    for f in span:
+        shifted_span.add(jets.jet(f - Poly.constant(n, f.evaluate(point))))
+    shifted = shifted_span.rows()
     square = Echelon()
     for i, u in enumerate(shifted):
         for v in shifted[i:]:
@@ -495,9 +499,9 @@ def verify_d_of_q(
 # -- the capped ideal-in-algebra sweep --------------------------------
 
 # Most elements (products times shifts) one containment sweep may test:
-# 10x the largest the test suite builds (67,500: sessions/a4.json at its
-# ansatz level, one degree above the default cap).  It also bounds the
-# products one pi_n family may form.
+# 10x the largest the test suite builds (67,500: sessions/a4.json at the
+# tests' level 4, one degree above the default cap; verify-main sweeps
+# 2,160 there).  It also bounds the products one pi_n family may form.
 MAX_CONTAINMENT_ELEMENTS = 675_000
 
 
@@ -590,16 +594,19 @@ def verify_main_theorem(
 ) -> Report:
     """Cross-check the derivation-space pipeline on a validated filtration.
 
-    Three checks: the capped sweep of shifted-product multiples must
-    test at least one element and find all of them in the algebra, the candidate-ansatz derivation dimension must equal
-    the independent cotangent count, and ``check_leibniz`` must pass for
-    every computed basis derivation on fresh random pairs of members.
+    Three checks: the capped sweep of shifted-product multiples at level
+    k = ``flt.max_order`` + 1 must test at least one element and find all
+    of them in the algebra (the containment ∩ m_p^k ⊂ A that caps
+    ``derivation_space``; it implies every higher level), the
+    candidate-ansatz derivation dimension must equal the independent
+    cotangent count, and ``check_leibniz`` must pass for every computed
+    basis derivation on fresh random pairs of members.
     """
     n = flt.n
     point = as_point(alpha, n)
     sp = spectrum(flt)
     report = flt.final_report
-    level = ansatz_bound(flt)
+    level = flt.max_order + 1
     items: list[CheckItem] = []
 
     if sp.points:

@@ -486,6 +486,11 @@ class ConditionFiltration:
             return self.levels[-1].report
         return CodimReport(0, (), 0)
 
+    @property
+    def max_order(self) -> int:
+        """Largest condition order (0 if none): A holds ∩ m_p^(max_order+1)."""
+        return max((lv.condition.functional.max_order for lv in self.levels), default=0)
+
     def conditions(self) -> tuple[Condition, ...]:
         return tuple(level.condition for level in self.levels)
 

@@ -84,14 +84,6 @@ def spectrum(flt: ConditionFiltration) -> Spectrum:
     return Spectrum(points, clusters)
 
 
-def ansatz_bound(flt: ConditionFiltration) -> int:
-    """Level of the containment sweep: each derivation level doubles it."""
-    doublings = sum(
-        1 for level in flt.levels if level.condition.kind.name == "derivation"
-    )
-    return 2**doublings
-
-
 @dataclass(frozen=True)
 class DerivationSpace:
     """Basis of the derivations of the algebra at one point.
@@ -132,7 +124,7 @@ def derivation_space(
     Candidate combinations are therefore intersected with the
     annihilator of the jets of m·m, then reduced modulo combinations
     that vanish on the whole algebra (those act as zero).  Candidates
-    stop at order 2·max_atom + 1: the algebra holds I = ∩ m_p^(max_atom+1)
+    stop at order 2·max_order + 1: the algebra holds I = ∩ m_p^(max_order+1)
     over the spectrum and alpha, I ⊂ m, so every derivation kills I²
     and its jets of higher order.  ``spec`` may pass ``spectrum(flt)``
     when the caller already has it.
@@ -143,16 +135,14 @@ def derivation_space(
         spec = spectrum(flt)
     in_spectrum = point in spec.points
     cluster = spec.cluster_of(point) if in_spectrum else (point,)
-    functionals = [level.condition.functional for level in flt.levels]
-    max_atom = max((f.max_order for f in functionals), default=0)
-    cand_cap = 2 * max_atom + 1 if in_spectrum else 1
-    cap = max(cand_cap, max_atom)
+    cand_cap = 2 * flt.max_order + 1 if in_spectrum else 1
+    cap = max(cand_cap, flt.max_order)
     base_points = list(spec.points)
     if not in_spectrum:
         base_points.append(point)
     space = JetSpace(base_points, cap, n)
 
-    condition_rows = [space.functional_covector(f) for f in functionals]
+    condition_rows = [space.functional_covector(c.functional) for c in flt.conditions()]
     eval_row = space.evaluation_covector(point)
     ideal_jets = kernel_basis(condition_rows + [eval_row], space.dim)
 
@@ -238,11 +228,8 @@ def cotangent_dimension(
     point = as_point(alpha, n)
     if spec is None:
         spec = spectrum(flt)
-    functionals = [level.condition.functional for level in flt.levels]
-    max_atom = max((f.max_order for f in functionals), default=0)
-    cap = 2 * (1 + max_atom) - 1
-    space = JetSpace(sorted(set(spec.points) | {point}), cap, n)
-    target_rank = space.dim - (len(functionals) + 1)
+    space = JetSpace(sorted(set(spec.points) | {point}), 2 * flt.max_order + 1, n)
+    target_rank = space.dim - (flt.codim + 1)
 
     gens = flt.final_basis.gens
     shifted = [space.jet(g - Poly.constant(n, g.evaluate(point))) for g in gens]

@@ -369,9 +369,9 @@ def test_qn_level_three_runs(capsys):
     assert out.endswith("all checks passed\n")
 
 
-def test_huge_containment_sweep_exits_one(tmp_path, capsys):
-    # The conditions of qn_spec([(0,0),(0,1),(1,0)], 2): an ansatz level of
-    # 64 asks for a sweep of 65^3 products times 15 shifts.
+def three_points_session(tmp_path):
+    """The conditions of qn_spec([(0,0),(0,1),(1,0)], 2) as a session file."""
+
     def deriv(point, partials):
         return {"type": "derivation", "point": point, "terms": [{"partials": partials}]}
 
@@ -381,11 +381,28 @@ def test_huge_containment_sweep_exits_one(tmp_path, capsys):
     ] + [deriv(point, [i]) for point in points for i in (1, 2)]
     session = tmp_path / "three-points.json"
     session.write_text(json.dumps({"n": 2, "conditions": conditions}))
-    code, out, err = run(capsys, "verify-main", str(session), "0,0")
+    return str(session)
+
+
+def test_huge_containment_sweep_exits_one(monkeypatch, tmp_path, capsys):
+    # Level 2 under a degree cap of 229: 3^3 products times C(2 + 229 - 6, 2)
+    # shifts, one cap past the limit.
+    monkeypatch.setenv("SUBALG_MAX_DEGREE", "229")
+    code, out, err = run(capsys, "verify-main", three_points_session(tmp_path), "0,0")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: refusing a containment sweep of 4119375 elements")
-    assert err.count("\n") == 1
+    assert err == (
+        "error: refusing a containment sweep of 680400 elements (level 2, "
+        "degree cap 229); the limit is 675000\n"
+    )
+
+
+def test_three_points_verify_main_passes(tmp_path, capsys):
+    # At level 2^(derivation levels) = 64 the sweep would be 4,119,375
+    # elements, over the limit; at max_order + 1 = 2 it is 405.
+    code, out, _ = run(capsys, "verify-main", three_points_session(tmp_path), "0,0")
+    assert code == 0
+    assert out.endswith("all checks passed\n")
 
 
 def test_invariant_failure_exits_four(monkeypatch, capsys):
@@ -410,7 +427,7 @@ def test_containment_that_checks_nothing_exits_three(monkeypatch, capsys):
     assert checks["ideal_containment"] == {
         "check": "ideal_containment",
         "pass": False,
-        "details": {"level": 4, "degree_cap": 1, "checked": 0, "failed": 0},
+        "details": {"level": 2, "degree_cap": 1, "checked": 0, "failed": 0},
     }
     assert [name for name, item in checks.items() if not item["pass"]] == [
         "ideal_containment"

@@ -10,6 +10,7 @@ import pytest
 import subalg.qn
 
 from subalg.cli import Session
+from subalg.jets import JetSpace
 from subalg.linalg import Echelon
 from subalg.poly import (
     DEGREVLEX,
@@ -40,7 +41,7 @@ from subalg.qn import (
     verify_qprime_eq_q,
 )
 from subalg.sagbi import build_from_conditions, is_member, subduce, truncated_algebra_basis
-from subalg.spectrum import ansatz_bound, cotangent_dimension, derivation_space, spectrum
+from subalg.spectrum import cotangent_dimension, derivation_space, spectrum
 from subalg.errors import ContainmentTooLarge, DimensionMismatch, QnSpecTooLarge
 from subalg.functionals import (
     Condition,
@@ -641,6 +642,60 @@ def verify_d_of_q_per_functional(points, level, alpha, order=DEGREVLEX):
     return Report(tuple(items))
 
 
+def verify_d_of_q_all_pairs(points, level, alpha, order=DEGREVLEX):
+    """``verify_d_of_q``'s two jet checks, squaring every pair of shifted
+    span jets and reading values off every one of them, as its oracle."""
+    spec = qn_spec(points, level)
+    pts = spec.points
+    n = len(pts[0])
+    point = as_point(alpha, n)
+    flt = subalg.qn.qn_build(spec, order)
+    report = flt.final_report
+    space = derivation_space(flt, point)
+    top = 2 * level - 1
+    span = truncated_algebra_basis(flt.final_basis, report, top + report.conductor)
+    jets = JetSpace(pts, max([top] + [f.max_order for f in space.basis]), n)
+    shifted = [jets.jet(f - Poly.constant(n, f.evaluate(point))) for f in span]
+    square = Echelon()
+    for i, u in enumerate(shifted):
+        for v in shifted[i:]:
+            square.add(jets.product(u, v))
+
+    def values(covector):
+        return {i: jets.pair(covector, u) for i, u in enumerate(shifted)}
+
+    expected_partials = [
+        (pt, partials)
+        for pt in pts
+        for k in range(level, top + 1)
+        for partials in monomials_of_degree(n, k)
+    ]
+    bad_leibniz = []
+    partial_values = Echelon()
+    for pt, partials in expected_partials:
+        covector = jets.functional_covector(LinearFunctional.partial_at(pt, partials))
+        if any(jets.pair(covector, row) for row in square.pivot_rows.values()):
+            bad_leibniz.append(f"order {sum(partials)} at {tuple(str(c) for c in pt)}")
+        partial_values.add(values(covector))
+    unexpressed = [
+        repr(functional)
+        for functional in space.basis
+        if not partial_values.contains(values(jets.functional_covector(functional)))
+    ]
+    return (
+        CheckItem(
+            "leibniz_high_orders",
+            not bad_leibniz,
+            {"functionals": len(expected_partials), "failing": bad_leibniz},
+        ),
+        CheckItem(
+            "basis_in_partial_span",
+            not unexpressed,
+            {"basis_size": space.dimension, "failing": unexpressed},
+        ),
+    )
+
+
 D_OF_Q_CASES = [
     ([(0,), (1,)], 1),
     ([(0,), (1,)], 2),
@@ -659,6 +714,7 @@ def test_derivation_report_matches_per_functional_route(points, level, order):
     got = verify_d_of_q(points, level, alpha, order)
     assert got.passed, got.failures()
     assert got == verify_d_of_q_per_functional(points, level, alpha, order)
+    assert got.items[2:] == verify_d_of_q_all_pairs(points, level, alpha, order)
 
 
 def build_off_by(monkeypatch, shift):
@@ -691,6 +747,7 @@ def test_derivation_report_below_the_level_matches(
     alpha = qn_spec(points, level).points[0]
     got = verify_d_of_q(points, level, alpha, order)
     assert got == verify_d_of_q_per_functional(points, level, alpha, order)
+    assert got.items[2:] == verify_d_of_q_all_pairs(points, level, alpha, order)
     by_name = {item.check: item for item in got.items}
     assert len(by_name["leibniz_high_orders"].details["failing"]) == failing
 
@@ -718,6 +775,7 @@ def test_derivation_report_above_the_level_matches(
     alpha = qn_spec(points, level).points[0]
     got = verify_d_of_q(points, level, alpha, order)
     assert got == verify_d_of_q_per_functional(points, level, alpha, order)
+    assert got.items[2:] == verify_d_of_q_all_pairs(points, level, alpha, order)
     by_name = {item.check: item for item in got.items}
     assert not by_name["derivation_dimension"].passed
     assert len(by_name["basis_in_partial_span"].details["failing"]) == unexpressed
@@ -867,6 +925,18 @@ def containment_by_products(flt, pts, level, cap):
     return checked, failed
 
 
+def ansatz_bound(flt):
+    """2^(derivation levels): a looser containment level than max_order + 1.
+
+    Each derivation level doubles it.  The sweep tests walk levels up to
+    it so that they cover more than the level ``verify_main_theorem`` uses.
+    """
+    doublings = sum(
+        1 for level in flt.levels if level.condition.kind.name == "derivation"
+    )
+    return 2**doublings
+
+
 def containment_cases(flt):
     """(points, level, cap) at every level up to the ansatz bound, cap and cap + 1."""
     pts = spectrum(flt).points
@@ -942,11 +1012,33 @@ def test_verifiers_refuse_a_foreign_filtration():
             verify_d_of_q(points, level, alpha, flt=other)
 
 
-def test_oversized_containment_sweep_is_refused():
-    # Ansatz level 64 at three plane points: 65^3 products times 15 shifts.
+def test_oversized_containment_sweep_is_refused(monkeypatch):
+    # Level 2 at three plane points: 3^3 products times C(2 + 229 - 6, 2)
+    # shifts under a degree cap of 229, one past the limit; cap 228 gives
+    # 674,352.  The refusal comes before the residue table is built.
     flt = qn_build(qn_spec([(0, 0), (0, 1), (1, 0)], 2))
-    with pytest.raises(ContainmentTooLarge, match="4119375 elements"):
-        verify_main_theorem(flt, (0, 0))
+    assert comb(2 + 228 - 6, 2) * 27 <= subalg.qn.MAX_CONTAINMENT_ELEMENTS
+    monkeypatch.setattr(subalg.qn, "_residue_table", None)
+    refusal = r"680400 elements \(level 2, degree cap 229\)"
+    with pytest.raises(ContainmentTooLarge, match=refusal):
+        verify_main_theorem(flt, (0, 0), containment_cap=229)
+
+
+def test_three_plane_points_pass_at_the_order_level():
+    # At level 2^(derivation levels) = 64 the sweep would be 4,119,375
+    # elements, over the limit; at max_order + 1 = 2 it is 405.
+    flt = qn_build(qn_spec([(0, 0), (0, 1), (1, 0)], 2))
+    report = verify_main_theorem(flt, (0, 0))
+    assert report.passed, report.failures()
+    # Conductor 4 plus width 6: 3^3 products times C(2 + 4, 2) shifts.
+    by_name = {item.check: item for item in report.items}
+    assert by_name["ideal_containment"].details == {
+        "level": 2, "degree_cap": 10, "checked": 405, "failed": 0,
+    }
+    # Orders 2 and 3 at each of the three glued points: 3 * (3 + 4).
+    assert by_name["derivation_vs_cotangent"].details == {
+        "derivations": 21, "cotangent": 21,
+    }
 
 
 def test_oversized_product_family_is_refused(monkeypatch):
@@ -966,10 +1058,19 @@ def test_oversized_product_family_is_refused(monkeypatch):
     assert formed == []
 
 
+# The four point sets of the benchmark's qn ladder.
+LADDER_RUNGS = (
+    (((0, 0), (0, 1), (1, 0)), 2),
+    (((0, 0), (1, 1)), 3),
+    (((0, 0, 0), (1, 0, 0)), 2),
+    (((0,), (1,), (2,)), 3),
+)
+
+
 def smallest_containment_level(flt):
     """The least level whose shifted-product ideal fits inside the algebra.
 
-    Scans levels from 1 up to the derivative-order budget; returns None
+    Scans levels from 1 up to 2^(derivation levels); returns None
     when none passes, which does not happen for validated filtrations.
     """
     sp = spectrum(flt)
@@ -993,6 +1094,17 @@ def test_smallest_containment_levels():
     assert smallest_containment_level(a2) == 1
     free = build_from_conditions(1, [], DEGREVLEX)
     assert smallest_containment_level(free) == 1
+    # a1–a4, then the ladder rungs, whose derivatives stop below the level.
+    fixtures = [
+        (Session.load(str(SESSIONS / f"{name}.json")).build(), level)
+        for name, level in [("a1", 3), ("a2", 1), ("a3", 3), ("a4", 2)]
+    ]
+    fixtures += [(qn_build(qn_spec(points, level)), level) for points, level in LADDER_RUNGS]
+    for flt, level in fixtures:
+        assert flt.max_order + 1 == level
+        assert smallest_containment_level(flt) == level
+        # So the sweep at max_order + 1 implies the one at 2^(derivation levels).
+        assert level <= ansatz_bound(flt)
 
 
 def test_report_json_shape():

@@ -41,6 +41,7 @@ from subalg.sagbi import (
     variables_basis,
 )
 from test_acceptance import PLANE_GENERATORS, SPACE_GENERATORS
+from test_qn import LADDER_RUNGS
 
 F = Fraction
 
@@ -694,13 +695,7 @@ def test_subduction_forms_no_generator_products(monkeypatch, seed=59):
 
 ORDERS = tuple(TermOrder(name) for name in ("degrevlex", "deglex", "lex"))
 # The four point sets of the benchmark's qn ladder, then two plane points.
-KERNEL_QN = (
-    (((0, 0), (0, 1), (1, 0)), 2),
-    (((0, 0), (1, 1)), 3),
-    (((0, 0, 0), (1, 0, 0)), 2),
-    (((0,), (1,), (2,)), 3),
-    (((0, 0), (0, 1)), 4),
-)
+KERNEL_QN = LADDER_RUNGS + ((((0, 0), (0, 1)), 4),)
 
 
 def minimalize_by_fresh_memo(gens, order, n):

@@ -24,14 +24,13 @@ from subalg.spectrum import (
     DerivationSpace,
     Spectrum,
     _ordered_partials,
-    ansatz_bound,
     are_equivalent,
     cotangent_dimension,
     derivation_space,
     spectrum,
 )
 from test_properties import random_filtration, random_point
-from test_qn import translate
+from test_qn import ansatz_bound, translate
 
 F = Fraction
 
