@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Sequence
 
 from .errors import DegenerateCondition, DimensionMismatch
 from .jets import JetSpace
-from .linalg import Echelon, solve
+from .linalg import Echelon, integral, solve
 from .poly import Partials, Point, Poly, as_fraction, as_point
 
 
@@ -32,7 +33,25 @@ class DerivativeAtom:
         return sum(self.partials)
 
     def apply(self, f: Poly) -> Fraction:
-        return self.coeff * f.derive(self.partials).evaluate(self.point)
+        """coeff * d^partials f(point), read straight from the terms of ``f``.
+
+        A term c x^m contributes c * prod_i m_i!/(m_i - a_i)! * p_i^(m_i - a_i)
+        when m >= a, and nothing otherwise.
+        """
+        if len(self.partials) != f.n or len(self.point) != f.n:
+            raise DimensionMismatch("polynomial and atom sizes differ")
+        total = 0
+        for mono, value in f.items():
+            for e, k, x in zip(mono, self.partials, self.point):
+                if e < k or (e > k and not x):
+                    break
+                if k:
+                    value *= perm(e, k)
+                if e > k:
+                    value *= x ** (e - k)
+            else:
+                total += value
+        return self.coeff * total
 
 
 def _atom_sort_key(atom: DerivativeAtom):
@@ -227,7 +246,9 @@ def check_leibniz(
     a = as_point(alpha, n)
     b = as_point(beta, n)
     space = JetSpace(sorted(set(functional.points()) | {a, b}), functional.max_order, n)
-    covector = space.functional_covector(functional)
+    # The defect is linear in L and bilinear in the jets, so integer
+    # multiples of both decide it.
+    covector = integral(space.functional_covector(functional))
     basis = Echelon()
     for f in span:
         basis.add(space.jet(f))

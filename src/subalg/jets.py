@@ -11,6 +11,11 @@ the factors.
 
 Jets are stored as sparse rows indexed by a fixed coordinate
 enumeration, which keeps the linear algebra exact and deterministic.
+Integral point coordinates and integral coefficients are read as
+``int``, so the jet of a polynomial with integer coefficients at
+integral points has ``int`` values, and products of such jets stay on
+``int``; Fractions enter only where a coefficient or a coordinate has a
+denominator.
 """
 
 from __future__ import annotations
@@ -48,7 +53,12 @@ def _refuse_oversized(npoints: int, cap: int, n: int) -> None:
                                f"(order cap {cap}); the limit is {MAX_JET_DIM}")
 
 
-def _falling_powers(e: int, x: Fraction, cap: int) -> list[tuple[int, Fraction]]:
+def _as_int(x: Fraction) -> int | Fraction:
+    """``x`` as an ``int`` when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _falling_powers(e: int, x: int | Fraction, cap: int) -> list[tuple[int, int | Fraction]]:
     """(k, d^k/dx^k of x^e at x) for k <= min(e, cap), nonzero values only."""
     out = []
     falling = 1
@@ -69,7 +79,7 @@ def _binomial_product(a: Monomial, b: Monomial) -> int:
 class JetSpace:
     """Derivative coordinates d^a f(p), |a| <= cap, over an ordered point list."""
 
-    __slots__ = ("n", "points", "cap", "coords", "_index")
+    __slots__ = ("n", "points", "cap", "coords", "_index", "_partials", "_int_points", "_conv")
 
     def __init__(self, points, cap: int, n: int):
         self.n = n
@@ -81,10 +91,15 @@ class JetSpace:
         _refuse_oversized(len(self.points), cap, n)
         self.cap = cap
         partials = sorted(monomials_up_to(n, cap), key=lambda m: (sum(m), m))
+        self._partials = partials
         self.coords: tuple[tuple[int, Monomial], ...] = tuple(
             (pi, a) for pi in range(len(self.points)) for a in partials
         )
         self._index = {c: i for i, c in enumerate(self.coords)}
+        self._int_points = tuple(tuple(map(_as_int, p)) for p in self.points)
+        # i * len(partials) + j -> (index of a_i + a_j, binomial weight),
+        # or None above the cap; filled as products meet the pairs.
+        self._conv: dict[int, tuple[int, int] | None] = {}
 
     @property
     def dim(self) -> int:
@@ -104,8 +119,8 @@ class JetSpace:
         a within the cap are formed.
         """
         out: SparseRow = {}
-        terms = list(f.terms())
-        for pi, point in enumerate(self.points):
+        terms = [(mono, _as_int(coeff)) for mono, coeff in f.terms()]
+        for pi, point in enumerate(self._int_points):
             values: dict[Monomial, Fraction] = {}
             for mono, coeff in terms:
                 # (a, |a|, value) over the variables seen so far
@@ -127,31 +142,43 @@ class JetSpace:
 
     def product(self, u: SparseRow, v: SparseRow) -> SparseRow:
         """Jet of a product from jets of the factors (per-point convolution)."""
-        by_point_u: dict[int, list[tuple[Monomial, Fraction]]] = {}
+        size = len(self._partials)
+        by_point_u: dict[int, list[tuple[int, Fraction]]] = {}
         for c, val in u.items():
-            pi, a = self.coords[c]
-            by_point_u.setdefault(pi, []).append((a, val))
-        by_point_v: dict[int, list[tuple[Monomial, Fraction]]] = {}
+            pi, i = divmod(c, size)
+            by_point_u.setdefault(pi, []).append((i * size, val))
+        by_point_v: dict[int, list[tuple[int, Fraction]]] = {}
         for c, val in v.items():
-            pi, a = self.coords[c]
-            by_point_v.setdefault(pi, []).append((a, val))
+            pi, j = divmod(c, size)
+            by_point_v.setdefault(pi, []).append((j, val))
+        conv = self._conv
         out: SparseRow = {}
         for pi, left in by_point_u.items():
             right = by_point_v.get(pi)
             if right is None:
                 continue
-            for a, av in left:
-                for b, bv in right:
-                    s = tuple(x + y for x, y in zip(a, b))
-                    if sum(s) > self.cap:
+            base = pi * size
+            for row, av in left:
+                for j, bv in right:
+                    key = row + j
+                    try:
+                        hit = conv[key]
+                    except KeyError:
+                        hit = conv[key] = self._convolution(*divmod(key, size))
+                    if hit is None:
                         continue
-                    c = self._index[(pi, s)]
-                    value = out.get(c, Fraction(0)) + _binomial_product(a, b) * av * bv
-                    if value:
-                        out[c] = value
-                    else:
-                        out.pop(c, None)
-        return out
+                    k, weight = hit
+                    c = base + k
+                    out[c] = out.get(c, 0) + weight * av * bv
+        return {c: value for c, value in out.items() if value}
+
+    def _convolution(self, i: int, j: int) -> tuple[int, int] | None:
+        """(index of a_i + a_j, its binomial weight), or None above the cap."""
+        a, b = self._partials[i], self._partials[j]
+        s = tuple(x + y for x, y in zip(a, b))
+        if sum(s) > self.cap:
+            return None
+        return self._index[(0, s)], _binomial_product(a, b)
 
     def functional_covector(self, functional: LinearFunctional) -> SparseRow:
         """The functional as a row over jet coordinates.
@@ -178,12 +205,12 @@ class JetSpace:
 
     def evaluation_covector(self, point) -> SparseRow:
         pi = self.point_index(point)
-        return {self._index[(pi, (0,) * self.n)]: Fraction(1)}
+        return {self._index[(pi, (0,) * self.n)]: 1}
 
-    def pair(self, covector: SparseRow, vector: SparseRow) -> Fraction:
+    def pair(self, covector: SparseRow, vector: SparseRow) -> int | Fraction:
         if len(covector) > len(vector):
             covector, vector = vector, covector
-        total = Fraction(0)
+        total = 0
         for c, val in covector.items():
             other = vector.get(c)
             if other is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import InvariantError
 from .functionals import LinearFunctional
 from .jets import JetSpace
-from .linalg import Echelon, SparseRow, kernel_basis
+from .linalg import Echelon, SparseRow, integral, kernel_basis
 from .poly import Monomial, Point, Poly, as_point, monomials_up_to
 from .sagbi import ConditionFiltration, SagbiBasis
 
@@ -144,7 +144,9 @@ def derivation_space(
 
     condition_rows = [space.functional_covector(c.functional) for c in flt.conditions()]
     eval_row = space.evaluation_covector(point)
-    ideal_jets = kernel_basis(condition_rows + [eval_row], space.dim)
+    # Only the span of the ideal jets matters here, so they are scaled to
+    # integer rows and their products stay on int.
+    ideal_jets = [integral(u) for u in kernel_basis(condition_rows + [eval_row], space.dim)]
 
     candidates: list[tuple[int, Monomial]] = []
     for p in cluster:
@@ -160,7 +162,8 @@ def derivation_space(
             product = space.product(u, v)
             square_span.add({slot_of[c]: x for c, x in product.items() if c in slot_of})
 
-    annihilator = kernel_basis(square_span.rows(), len(candidates))
+    square_rows = list(square_span.pivot_rows.values())
+    annihilator = kernel_basis(square_rows, len(candidates))
 
     # Candidate combinations that vanish on the whole algebra: exactly the
     # elements of the condition row space supported on candidate coordinates.
@@ -177,7 +180,7 @@ def derivation_space(
     ]
 
     for z in vanishing:
-        for row in square_span.rows():
+        for row in square_rows:
             if space.pair(z, row) != 0:
                 raise InvariantError("vanishing combination misses the square")
 
@@ -232,7 +235,7 @@ def cotangent_dimension(
     target_rank = space.dim - (flt.codim + 1)
 
     gens = flt.final_basis.gens
-    shifted = [space.jet(g - Poly.constant(n, g.evaluate(point))) for g in gens]
+    shifted = [integral(space.jet(g - Poly.constant(n, g.evaluate(point)))) for g in gens]
     ideal_span = Echelon()
     square_span = Echelon()
     frontier = list(shifted)

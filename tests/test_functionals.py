@@ -34,6 +34,34 @@ def test_partial_atom_apply():
     assert second_at_zero.apply(P("x1", 1)) == 0
 
 
+def random_terms(rng, n):
+    return {
+        tuple(rng.randint(0, 4) for _ in range(n)): F(rng.randint(-5, 5), rng.choice((1, 1, 3, 11)))
+        for _ in range(rng.randint(0, 6))
+    }
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integral", "rational"])
+def test_atom_apply_matches_derive_and_evaluate(rational, seed=43, rounds=200):
+    rng = random.Random(seed + rational)
+    coordinates = (0, 0, 1, -1, 2, -3) + ((F(1, 2), F(-5, 3), F(7, 4)) if rational else ())
+    for _ in range(rounds):
+        n = rng.randint(1, 3)
+        f = Poly(n, random_terms(rng, n))
+        point = tuple(F(rng.choice(coordinates)) for _ in range(n))
+        partials = tuple(rng.randint(0, 3) for _ in range(n))
+        atom = DerivativeAtom(F(rng.randint(-3, 3), rng.randint(1, 4)), point, partials)
+        value = atom.apply(f)
+        assert type(value) is Fraction
+        assert value == atom.coeff * f.derive(partials).evaluate(point)
+
+
+def test_atom_apply_checks_sizes():
+    atom = DerivativeAtom(F(1), (F(0), F(0)), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        atom.apply(P("x1", 1))
+
+
 def test_evaluation_and_scale():
     ev = LinearFunctional.evaluation((F(1, 2),), coeff=3)
     assert ev.apply(P("x1^2", 1)) == F(3, 4)

@@ -1,9 +1,133 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from subalg.linalg import Echelon, kernel_basis, solve
+import pytest
+
+from subalg.cli import Session
+from subalg.jets import JetSpace
+from subalg.linalg import Echelon, integral, kernel_basis, solve
+from subalg.poly import Poly
+from subalg.qn import qn_build, qn_spec, verify_qprime_eq_q
+from subalg.spectrum import cotangent_dimension, derivation_space, spectrum
 
 F = Fraction
+
+SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+
+
+# -- the former Fraction core, kept as an oracle ----------------------
+
+
+class FractionEchelon:
+    """Incremental RREF over Fraction: stored rows normalized, pivot 1."""
+
+    def __init__(self):
+        self.pivot_rows = {}
+
+    @property
+    def rank(self):
+        return len(self.pivot_rows)
+
+    def reduce(self, row):
+        work = {c: Fraction(v) for c, v in row.items() if v}
+        for col in sorted(c for c in work if c in self.pivot_rows):
+            factor = work.get(col)
+            if not factor:
+                continue
+            for c2, v2 in self.pivot_rows[col].items():
+                new = work.get(c2, Fraction(0)) - factor * v2
+                if new:
+                    work[c2] = new
+                else:
+                    work.pop(c2, None)
+        return work
+
+    def add(self, row):
+        reduced = self.reduce(row)
+        if not reduced:
+            return None
+        pivot = min(reduced)
+        inv = Fraction(1) / reduced[pivot]
+        normalized = {c: v * inv for c, v in reduced.items()}
+        for other in self.pivot_rows.values():
+            factor = other.get(pivot)
+            if factor is None:
+                continue
+            for col, val in normalized.items():
+                new = other.get(col, Fraction(0)) - factor * val
+                if new:
+                    other[col] = new
+                else:
+                    other.pop(col, None)
+        self.pivot_rows[pivot] = normalized
+        return normalized
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+    def rows(self):
+        return [dict(self.pivot_rows[p]) for p in sorted(self.pivot_rows)]
+
+    def pivots(self):
+        return sorted(self.pivot_rows)
+
+
+def fraction_kernel_basis(rows, ncols):
+    ech = FractionEchelon()
+    for row in rows:
+        ech.add(row)
+    vectors = {f: {} for f in range(ncols) if f not in ech.pivot_rows}
+    for pivot in ech.pivots():
+        for col, value in ech.pivot_rows[pivot].items():
+            if col != pivot:
+                vectors[col][pivot] = -value
+    for f, vec in vectors.items():
+        vec[f] = Fraction(1)
+    return list(vectors.values())
+
+
+def fraction_solve(rows, rhs, ncols):
+    ech = FractionEchelon()
+    for row, b in zip(rows, rhs):
+        ech.add({**row, ncols: Fraction(b)} if b else row)
+    if ncols in ech.pivot_rows:
+        return None
+    return {pivot: row[ncols] for pivot, row in ech.pivot_rows.items() if ncols in row}
+
+
+def assert_matches_oracle(stream, probes=()):
+    """Feed ``stream`` to both cores; compare every observable result."""
+    ech, oracle = Echelon(), FractionEchelon()
+    for row in stream:
+        stored, normalized = ech.add(row), oracle.add(row)
+        assert (stored is None) == (normalized is None)
+        if stored is not None:
+            # the stored row is a positive multiple of the normalized one
+            assert set(stored) == set(normalized)
+            pivot = min(stored)
+            assert all(isinstance(v, int) for v in stored.values())
+            assert stored[pivot] > 0
+            assert all(F(v, stored[pivot]) == normalized[c] for c, v in stored.items())
+    assert ech.rank == oracle.rank
+    assert ech.pivots() == oracle.pivots()
+    assert ech.rows() == oracle.rows()
+    for probe in list(probes) + list(stream[:5]):
+        assert ech.contains(probe) == oracle.contains(probe)
+    ncols = 1 + max((c for row in stream for c in row), default=0)
+    # compared as item lists: the entry order must match too
+    assert [list(v.items()) for v in kernel_basis(stream, ncols)] == [
+        list(v.items()) for v in fraction_kernel_basis(stream, ncols)
+    ]
+    # the last column as a right-hand side
+    last = ncols - 1
+    body = [{c: v for c, v in row.items() if c != last} for row in stream]
+    rhs = [row.get(last, 0) for row in stream]
+    found, expected = solve(body, rhs, last), fraction_solve(body, rhs, last)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert list(found.items()) == list(expected.items())
 
 
 # -- the former dense path, kept as an oracle -------------------------
@@ -18,12 +142,8 @@ def dense_rref(matrix):
     for row in matrix:
         ech.add(_to_sparse(row))
     ncols = max((len(r) for r in matrix), default=0)
-    pivots = ech.pivots()
-    dense = []
-    for p in pivots:
-        row = ech.pivot_rows[p]
-        dense.append([row.get(c, Fraction(0)) for c in range(ncols)])
-    return dense, pivots
+    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in ech.rows()]
+    return dense, ech.pivots()
 
 
 def dense_rank(matrix):
@@ -59,7 +179,7 @@ def dense_solve(matrix, rhs):
     if ncols in ech.pivot_rows:
         return None
     solution = [Fraction(0)] * ncols
-    for pivot, row in ech.pivot_rows.items():
+    for pivot, row in zip(ech.pivots(), ech.rows()):
         solution[pivot] = row.get(ncols, Fraction(0))
     return solution
 
@@ -173,3 +293,133 @@ def test_solve_random_consistent_systems():
         else:
             assert densify(found, ncols) == expected
     assert inconsistent > 0
+
+
+# -- the integer core against the Fraction oracle ---------------------
+
+
+def random_rational_matrix(rng, nrows, ncols, bound):
+    return [
+        [F(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3, 11))) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_echelon_matches_fraction_oracle_on_random_matrices(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        nrows = rng.randint(1, 6)
+        ncols = rng.randint(1, 6)
+        make = rng.choice((random_matrix, random_rational_matrix))
+        matrix = make(rng, nrows, ncols, rng.choice((1, 3, 9)))
+        stream = [_to_sparse(row) for row in matrix]
+        probes = [_to_sparse(row) for row in make(rng, 3, ncols, 3)]
+        assert_matches_oracle(stream, probes)
+
+
+def library_streams(monkeypatch, run):
+    """The rows ``run`` feeds each Echelon, keyed by the creating library caller."""
+    streams = {}
+    original = Echelon.add
+
+    def recording(self, row):
+        if self not in streams:
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] == "subalg.linalg":
+                frame = frame.f_back
+            caller = frame.f_code.co_name
+            owner = frame.f_locals.get("self")
+            if owner is not None:
+                caller = f"{type(owner).__name__}.{caller}"
+            streams[self] = (caller, [])
+        streams[self][1].append(dict(row))
+        return original(self, row)
+
+    monkeypatch.setattr(Echelon, "add", recording)
+    run()
+    monkeypatch.undo()
+    return list(streams.values())
+
+
+LADDER_RUNGS = [
+    ([(0, 0), (0, 1), (1, 0)], 2),
+    ([(0, 0), (1, 1)], 3),
+    ([(0, 0, 0), (1, 0, 0)], 2),
+    ([(0,), (1,), (2,)], 3),
+]
+
+
+def run_sessions():
+    for name in ("a1", "a2", "a3", "a4"):
+        flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+        spec = spectrum(flt)
+        for point in spec.points:
+            derivation_space(flt, point, spec=spec)
+            cotangent_dimension(flt, point, spec=spec)
+
+
+def run_ladder():
+    for points, level in LADDER_RUNGS:
+        flt = qn_build(qn_spec(points, level))
+        verify_qprime_eq_q(points, level, flt=flt)
+        spec = spectrum(flt)
+        derivation_space(flt, points[0], spec=spec)
+        cotangent_dimension(flt, points[0], spec=spec)
+
+
+@pytest.mark.parametrize("run", [run_sessions, run_ladder], ids=["sessions", "ladder"])
+def test_echelon_matches_fraction_oracle_on_library_rows(monkeypatch, run):
+    streams = library_streams(monkeypatch, run)
+    callers = {caller for caller, _ in streams}
+    assert {"cotangent_dimension", "derivation_space", "check_leibniz"} <= callers
+    if run is run_ladder:
+        assert "_IdealSlice.__init__" in callers
+    for _, stream in streams:
+        assert_matches_oracle(stream)
+
+
+def test_echelon_matches_fraction_oracle_on_unscaled_generator_jets():
+    # The shifted generator jets before ``cotangent_dimension`` scales
+    # them: a4's generators carry /11 coefficients into them.
+    denominators = set()
+    for name in ("a1", "a2", "a3", "a4"):
+        flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+        spec = spectrum(flt)
+        for point in spec.points:
+            space = JetSpace(spec.points, 2 * flt.max_order + 1, flt.n)
+            stream = [
+                space.jet(g - Poly.constant(flt.n, g.evaluate(point)))
+                for g in flt.final_basis.gens
+            ]
+            denominators.update(F(v).denominator for row in stream for v in row.values())
+            assert_matches_oracle(stream)
+    assert any(d % 11 == 0 for d in denominators)
+
+
+def test_boundary_values_are_fractions():
+    # int rows in, so any true division of ints would surface as a float
+    rng = random.Random(17)
+    for _ in range(50):
+        ncols = rng.randint(1, 5)
+        rows = [
+            {c: rng.randint(-5, 5) for c in range(ncols) if rng.random() < 0.7}
+            for _ in range(rng.randint(1, 5))
+        ]
+        ech = Echelon()
+        for row in rows:
+            ech.add(row)
+        for row in ech.rows():
+            assert all(type(v) is Fraction for v in row.values())
+        for vec in kernel_basis(rows, ncols):
+            assert all(type(v) is Fraction for v in vec.values())
+        rhs = [rng.randint(-5, 5) for _ in rows]
+        found = solve(rows, rhs, ncols)
+        if found is not None:
+            assert all(type(v) is Fraction for v in found.values())
+
+
+def test_integral_scales_by_the_denominator_lcm():
+    assert integral({0: F(1, 2), 1: F(-1, 3), 2: 0, 3: 4}) == {0: 3, 1: -2, 3: 24}
+    assert integral({0: F(4), 1: 6}) == {0: 4, 1: 6}
+    assert all(type(v) is int for v in integral({0: F(4), 1: F(1, 6)}).values())

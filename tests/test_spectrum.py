@@ -144,6 +144,38 @@ def test_jet_product_matches_polynomial_product(seed=31, rounds=50):
         assert space.product(space.jet(f), space.jet(g)) == space.jet(f * g)
 
 
+def test_jet_values_are_exact(seed=53, rounds=60):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        n = rng.randint(1, 3)
+        pts = list({tuple(rng.choice(COORDINATES) for _ in range(n)) for _ in range(2)})
+        space = JetSpace(pts, rng.randint(0, 4), n)
+        f = Poly(n, {
+            tuple(rng.randint(0, 3) for _ in range(n)): F(rng.randint(-4, 4), rng.choice((1, 1, 3)))
+            for _ in range(4)
+        })
+        jet = space.jet(f)
+        assert all(type(v) in (int, Fraction) for v in jet.values())
+        square = space.product(jet, jet)
+        assert all(type(v) in (int, Fraction) for v in square.values())
+        assert square == space.jet(f * f)
+    # integer coefficients at integral points: int values throughout
+    space = JetSpace([(0, 1), (2, -3)], 3, 2)
+    jet = space.jet(parse_poly("x1^3*x2 - 4*x2^2 + 7", 2))
+    assert jet and all(type(v) is int for v in space.product(jet, jet).values())
+    assert all(type(v) is int for v in jet.values())
+
+
+def test_jet_at_rational_point_matches_derive_and_evaluate():
+    point = (F(1, 2), F(-5, 3))
+    space = JetSpace([point, (F(0), F(2))], 4, 2)
+    f = parse_poly("3/7*x1^4*x2 - x1^2*x2^3 + 5*x2^2 - 2/3*x1 + 1", 2)
+    jet = space.jet(f)
+    for c, (pi, a) in enumerate(space.coords):
+        want = f.derive(a).evaluate(space.points[pi])
+        assert jet.get(c, 0) == want, (pi, a)
+
+
 def test_jet_space_refuses_huge_dimension():
     # The doubling ansatz cap 2·2^(derivation levels) − 1 for qn N=3 at
     # two plane points: cap 2047, 4,196,352 coordinates.
@@ -326,6 +358,15 @@ def test_a4_derivation_spaces():
     assert cotangent_dimension(a4, (1, 0, -1)) == 6
     # identical result anywhere in the glued cluster
     assert derivation_space(a4, (1, -3, 2)).basis == at_glued.basis
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_derivation_basis_coefficients_are_fractions(name):
+    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    spec = spectrum(flt)
+    for point in spec.points:
+        for functional in derivation_space(flt, point, spec=spec).basis:
+            assert all(type(atom.coeff) is Fraction for atom in functional.atoms)
 
 
 def test_derivation_basis_satisfies_leibniz():
