@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import DegenerateCondition, DimensionMismatch
 from .jets import JetSpace
 from .linalg import Echelon, integral, solve
-from .poly import Partials, Point, Poly, as_fraction, as_point
+from .poly import Partials, Point, Poly, _as_int, as_fraction, as_point
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,9 @@ class DerivativeAtom:
         if len(self.partials) != f.n or len(self.point) != f.n:
             raise DimensionMismatch("polynomial and atom sizes differ")
         total = 0
+        point = tuple(map(_as_int, self.point))
         for mono, value in f.items():
-            for e, k, x in zip(mono, self.partials, self.point):
+            for e, k, x in zip(mono, self.partials, point):
                 if e < k or (e > k and not x):
                     break
                 if k:

@@ -11,9 +11,9 @@ the factors.
 
 Jets are stored as sparse rows indexed by a fixed coordinate
 enumeration, which keeps the linear algebra exact and deterministic.
-Integral point coordinates and integral coefficients are read as
-``int``, so the jet of a polynomial with integer coefficients at
-integral points has ``int`` values, and products of such jets stay on
+Integral point coordinates are read as ``int`` and ``Poly`` stores
+integral coefficients as ``int``, so the jet of a polynomial with integer
+coefficients at integral points has ``int`` values, and products of such jets stay on
 ``int``; Fractions enter only where a coefficient or a coordinate has a
 denominator.
 """
@@ -30,6 +30,7 @@ from .poly import (
     Monomial,
     Point,
     Poly,
+    _as_int,
     as_point,
     monomials_up_to,
 )
@@ -51,11 +52,6 @@ def _refuse_oversized(npoints: int, cap: int, n: int) -> None:
     if size > MAX_JET_DIM:
         raise JetSpaceTooLarge(f"refusing a jet space of {size} coordinates "
                                f"(order cap {cap}); the limit is {MAX_JET_DIM}")
-
-
-def _as_int(x: Fraction) -> int | Fraction:
-    """``x`` as an ``int`` when its denominator is 1."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _falling_powers(e: int, x: int | Fraction, cap: int) -> list[tuple[int, int | Fraction]]:
@@ -119,10 +115,9 @@ class JetSpace:
         a within the cap are formed.
         """
         out: SparseRow = {}
-        terms = [(mono, _as_int(coeff)) for mono, coeff in f.terms()]
         for pi, point in enumerate(self._int_points):
             values: dict[Monomial, Fraction] = {}
-            for mono, coeff in terms:
+            for mono, coeff in f.terms():
                 # (a, |a|, value) over the variables seen so far
                 partial = [((), 0, coeff)]
                 for e, x in zip(mono, point):

@@ -1,9 +1,11 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial in ``n`` variables is stored sparsely as a mapping from
-exponent tuples to nonzero ``Fraction`` coefficients, e.g. in two
-variables ``x1^2*x2 - 3/2`` becomes ``{(2, 1): Fraction(1), (0, 0):
-Fraction(-3, 2)}``.  All arithmetic is exact; floats never appear.
+exponent tuples to nonzero coefficients, an ``int`` when integral (cheap
+arithmetic) and a ``Fraction`` otherwise, e.g. in two variables
+``x1^2*x2 - 3/2`` becomes ``{(2, 1): 1, (0, 0): Fraction(-3, 2)}``.  Every
+division of two coefficients goes through ``Fraction``, so all arithmetic
+is exact; floats never appear.
 
 Monomials, points and multisets of partial derivatives all share the
 same concrete shape (a length-``n`` tuple), which keeps the helper
@@ -29,6 +31,7 @@ from .errors import (
 
 Monomial = tuple[int, ...]
 Point = tuple[Fraction, ...]
+Coeff = int | Fraction
 Partials = tuple[int, ...]
 
 ORDER_NAMES = ("lex", "deglex", "degrevlex")
@@ -43,6 +46,11 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _as_int(x: int | Fraction) -> int | Fraction:
+    """``x`` as an ``int`` when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def as_point(values: Sequence, n: int | None = None) -> Point:
@@ -95,13 +103,13 @@ def _canonical_sort_key(mono: Monomial):
 
 
 class Poly:
-    """An immutable sparse polynomial with Fraction coefficients."""
+    """An immutable sparse polynomial; the constructor stores integral coefficients as ``int``."""
 
     __slots__ = ("n", "_terms", "_sorted")
 
-    def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, n: int, terms: dict[Monomial, Coeff] | None = None):
         self.n = n
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coeff] = {}
         if terms:
             for mono, coeff in terms.items():
                 if len(mono) != n:
@@ -109,9 +117,11 @@ class Poly:
                         f"monomial {mono} does not fit a polynomial in {n} variables"
                     )
                 if coeff:
+                    if type(coeff) is Fraction and coeff.denominator == 1:
+                        coeff = coeff.numerator
                     clean[mono] = coeff
         self._terms = clean
-        self._sorted: list[tuple[Monomial, Fraction]] | None = None
+        self._sorted: list[tuple[Monomial, Coeff]] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -129,7 +139,7 @@ class Poly:
         if not 1 <= index <= n:
             raise DimensionMismatch(f"variable index {index} out of range 1..{n}")
         mono = tuple(1 if i == index - 1 else 0 for i in range(n))
-        return cls(n, {mono: Fraction(1)})
+        return cls(n, {mono: 1})
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff=1) -> Poly:
@@ -143,8 +153,8 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self._terms)
 
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+    def coeff(self, mono: Monomial) -> Coeff:
+        return self._terms.get(tuple(mono), 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -152,7 +162,7 @@ class Poly:
             return -1
         return max(sum(m) for m in self._terms)
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
+    def terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms sorted by descending degrevlex, independent of any active order."""
         if self._sorted is None:
             self._sorted = sorted(
@@ -160,7 +170,7 @@ class Poly:
             )
         return self._sorted
 
-    def items(self) -> Iterable[tuple[Monomial, Fraction]]:
+    def items(self) -> Iterable[tuple[Monomial, Coeff]]:
         """Terms in storage order: cheaper than ``terms()`` where order is moot."""
         return self._terms.items()
 
@@ -168,7 +178,7 @@ class Poly:
         for mono, _ in self.terms():
             yield mono
 
-    def leading(self, order: TermOrder) -> tuple[Monomial, Fraction]:
+    def leading(self, order: TermOrder) -> tuple[Monomial, Coeff]:
         """Leading (monomial, coefficient) under ``order``."""
         if not self._terms:
             raise ZeroLeadingTerm("the zero polynomial has no leading term")
@@ -190,7 +200,7 @@ class Poly:
         self._check(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            new = terms.get(mono, Fraction(0)) + coeff
+            new = terms.get(mono, 0) + coeff
             if new:
                 terms[mono] = new
             else:
@@ -201,7 +211,7 @@ class Poly:
         self._check(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            new = terms.get(mono, Fraction(0)) - coeff
+            new = terms.get(mono, 0) - coeff
             if new:
                 terms[mono] = new
             else:
@@ -214,17 +224,17 @@ class Poly:
     def __mul__(self, other) -> Poly:
         if isinstance(other, Poly):
             self._check(other)
-            terms: dict[Monomial, Fraction] = {}
+            terms: dict[Monomial, Coeff] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     mono = tuple(a + b for a, b in zip(m1, m2))
-                    new = terms.get(mono, Fraction(0)) + c1 * c2
+                    new = terms.get(mono, 0) + c1 * c2
                     if new:
                         terms[mono] = new
                     else:
                         terms.pop(mono, None)
             return Poly(self.n, terms)
-        scalar = as_fraction(other)
+        scalar = _as_int(as_fraction(other))
         return Poly(self.n, {m: c * scalar for m, c in self._terms.items()})
 
     __rmul__ = __mul__
@@ -246,7 +256,7 @@ class Poly:
         _, lc = self.leading(order)
         if lc == 1:
             return self
-        return self * (Fraction(1) / lc)
+        return self * Fraction(1, lc)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -257,9 +267,9 @@ class Poly:
 
     # -- calculus and substitution ------------------------------------
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        pt = as_point(point, self.n)
-        total = Fraction(0)
+    def evaluate(self, point: Sequence) -> Coeff:
+        pt = tuple(map(_as_int, as_point(point, self.n)))
+        total = 0
         for mono, coeff in self._terms.items():
             value = coeff
             for base, exp in zip(pt, mono):
@@ -273,7 +283,7 @@ class Poly:
         counts = tuple(partials)
         if len(counts) != self.n:
             raise DimensionMismatch("partial multiset does not match variable count")
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Coeff] = {}
         for mono, coeff in self._terms.items():
             factor = 1
             new = list(mono)
@@ -291,7 +301,7 @@ class Poly:
             if not ok or factor == 0:
                 continue
             key = tuple(new)
-            value = terms.get(key, Fraction(0)) + coeff * factor
+            value = terms.get(key, 0) + coeff * factor
             if value:
                 terms[key] = value
             else:
@@ -394,11 +404,11 @@ def parse_poly(text: str, n: int) -> Poly:
                 break
         pos = match.end()
 
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Coeff] = {}
     i = 0
     first_term = True
     while i < len(tokens):
-        sign = Fraction(1)
+        sign = 1
         # leading sign(s) of the term
         saw_sign = False
         while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
@@ -459,7 +469,7 @@ def parse_poly(text: str, n: int) -> Poly:
         if not saw_factor:
             raise PolyParseError("empty term", tokens[i][2] if i < len(tokens) else len(text))
         mono = tuple(exponents)
-        total = terms.get(mono, Fraction(0)) + coeff
+        total = terms.get(mono, 0) + coeff
         if total:
             terms[mono] = total
         else:

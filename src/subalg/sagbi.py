@@ -94,7 +94,7 @@ def _witness_search(
 
 
 def _subtract(
-    terms: dict[Monomial, Fraction], coeff: Fraction, element: Poly
+    terms: dict[Monomial, int | Fraction], coeff: int | Fraction, element: Poly
 ) -> list[Monomial]:
     """terms -= coeff * element in place; returns the monomials it created."""
     created = [m for m, _ in element.items() if m not in terms]
@@ -217,7 +217,7 @@ class SagbiBasis:
 class SubductionStep:
     """One cancellation: ``coeff`` times the canonical element with head Σ e_i·lm(g_i)."""
 
-    coeff: Fraction
+    coeff: int | Fraction
     exponents: tuple[int, ...]
 
 
@@ -323,12 +323,12 @@ def kernel_sagbi_raw(basis: SagbiBasis, functional: LinearFunctional) -> list[Po
     for i, g in enumerate(basis.gens):
         if i == j:
             continue
-        out.append(g - (values[i] / vj) * gj)
+        out.append(g - Fraction(values[i], vj) * gj)
     for g in basis.gens:
         p = g * gj
-        out.append(p - (functional.apply(p) / vj) * gj)
+        out.append(p - Fraction(functional.apply(p), vj) * gj)
     cube = gj * gj * gj
-    out.append(cube - (functional.apply(cube) / vj) * gj)
+    out.append(cube - Fraction(functional.apply(cube), vj) * gj)
     return out
 
 
@@ -386,7 +386,7 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
         coeff = 0 if m in vanishing else functional.apply(cm)
         if coeff:
             terms = dict(cm.items())
-            _subtract(terms, coeff / value, gj)
+            _subtract(terms, Fraction(coeff, value), gj)
             cm = Poly(basis.n, terms)
         gens.append(cm)
     return SagbiBasis(basis.n, basis.order, gens)

@@ -25,6 +25,8 @@ A3 = str(SESSIONS / "a3.json")
 A4 = str(SESSIONS / "a4.json")
 PLANE = str(SESSIONS / "qn-two-points.json")
 BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+# The benchmark's `verify` tasks with their exit codes and stdout.
+VERIFY_GOLDEN = json.loads((BENCH_GOLDEN / "verify.json").read_text())
 
 A1_BUILD_TEXT = """\
 level 1: derivation at (0): Functional[1*d1@(0)]
@@ -107,9 +109,16 @@ def test_qn_subcommand(capsys):
     assert out.count(": pass") == 8
 
 
+@pytest.mark.parametrize("task", VERIFY_GOLDEN, ids=lambda g: " ".join(g["argv"]))
+def test_benchmark_verify_goldens_replay(capsys, task):
+    argv = [str(SESSIONS.parent / a) if a.startswith("sessions/") else a for a in task["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == task["code"]
+    assert out == task["stdout"]
+
+
 def test_qn_builds_its_filtration_once(monkeypatch, capsys):
-    golden = json.loads((BENCH_GOLDEN / "verify.json").read_text())
-    (task,) = [g for g in golden if g["argv"][0] == "qn"]
+    (task,) = [g for g in VERIFY_GOLDEN if g["argv"][0] == "qn"]
     builds = []
     build = qn.qn_build
 

@@ -10,6 +10,7 @@ from subalg.errors import (
     ZeroLeadingTerm,
 )
 from subalg.poly import (
+    DEGREVLEX,
     Poly,
     TermOrder,
     format_poly,
@@ -257,3 +258,130 @@ def test_partials_from_indices():
     assert partials_from_indices([], 2) == (0, 0)
     with pytest.raises(DimensionMismatch):
         partials_from_indices([3], 2)
+
+
+# -- int storage against a Fraction-only reference --------------------
+#
+# The helpers below are Fraction-only arithmetic on plain dicts, the
+# oracle for int storage: values must agree term by term, and printing
+# must not see the storage type.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, F(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, F(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_pow(a, e, n):
+    out = {(0,) * n: F(1)}
+    for _ in range(e):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derive(a, partials):
+    out = {}
+    for mono, c in a.items():
+        if any(e < k for e, k in zip(mono, partials)):
+            continue
+        factor = F(1)
+        for e, k in zip(mono, partials):
+            for step in range(k):
+                factor *= e - step
+        m = tuple(e - k for e, k in zip(mono, partials))
+        out[m] = out.get(m, F(0)) + c * factor
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_evaluate(a, point):
+    total = F(0)
+    for mono, c in a.items():
+        value = c
+        for x, e in zip(point, mono):
+            value *= x**e
+        total += value
+    return total
+
+
+def fraction_poly(n, terms):
+    """A Poly holding Fraction coefficients, as every Poly did before int storage."""
+    p = Poly(n)
+    p._terms = {m: F(c) for m, c in terms.items() if c}
+    return p
+
+
+def random_ref(rng, n, max_degree, max_terms):
+    """Fraction terms, mostly integral, some with a denominator."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mono = tuple(rng.randint(0, max_degree) for _ in range(n))
+        value = F(rng.randint(-9, 9), rng.choice((1, 1, 1, 2, 3)))
+        terms[mono] = terms.get(mono, F(0)) + value
+    return {m: c for m, c in terms.items() if c}
+
+
+def assert_int_storage(p):
+    """Every stored coefficient is an int exactly when it is integral."""
+    for mono, c in p.items():
+        assert type(c) in (int, Fraction), (mono, c)
+        assert (type(c) is int) == (c.denominator == 1), (mono, c)
+
+
+def assert_agrees(p, ref):
+    assert_int_storage(p)
+    assert dict(p.items()) == ref
+    assert format_poly(p) == format_poly(fraction_poly(p.n, ref))
+
+
+def test_int_storage_matches_fraction_reference(seed=107, rounds=80):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        n = rng.randint(1, 3)
+        a = random_ref(rng, n, 3, 5)
+        b = random_ref(rng, n, 3, 5)
+        f, g = Poly(n, a), Poly(n, b)
+        assert_agrees(f, a)
+        assert_agrees(g, b)
+        assert_agrees(f + g, ref_add(a, b))
+        assert_agrees(f - g, ref_add(a, {m: -c for m, c in b.items()}))
+        assert_agrees(-f, {m: -c for m, c in a.items()})
+        assert_agrees(f * g, ref_mul(a, b))
+        e = rng.randint(0, 3)
+        assert_agrees(f**e, ref_pow(a, e, n))
+        partials = tuple(rng.randint(0, 2) for _ in range(n))
+        assert_agrees(f.derive(partials), ref_derive(a, partials))
+        point = random_point(rng, n)
+        assert f.evaluate(point) == ref_evaluate(a, point)
+        integral = tuple(F(rng.randint(-4, 4)) for _ in range(n))
+        value = f.evaluate(integral)
+        assert type(value) in (int, Fraction) and value == ref_evaluate(a, integral)
+        assert_agrees(parse_poly(format_poly(f), n), a)
+
+
+def test_scalars_and_monic_store_ints_when_integral():
+    f = P("3/2*x1^2 + 3*x1 - 6", 1)
+    assert_agrees(f, {(2,): F(3, 2), (1,): F(3), (0,): F(-6)})
+    assert_agrees(f.monic(DEGREVLEX), {(2,): F(1), (1,): F(2), (0,): F(-4)})
+    assert_agrees(f * 2, {(2,): F(3), (1,): F(6), (0,): F(-12)})
+    assert_agrees(2 * f, {(2,): F(3), (1,): F(6), (0,): F(-12)})
+    assert_agrees(f * F(4), {(2,): F(6), (1,): F(12), (0,): F(-24)})
+    assert_agrees(f * F(1, 3), {(2,): F(1, 2), (1,): F(1), (0,): F(-2)})
+    assert_agrees(f * "2/3", {(2,): F(1), (1,): F(2), (0,): F(-4)})
+    assert_agrees(P("6/3*x1", 1), {(1,): F(2)})
+    assert_agrees(P("x1 - 1/2*x1", 1), {(1,): F(1, 2)})
+    assert_agrees(Poly.constant(2, F(8, 4)), {(0, 0): F(2)})
+    assert_agrees(Poly.monomial((1, 2), "9/3"), {(1, 2): F(3)})
+    assert_agrees(Poly.variable(2, 2), {(0, 1): F(1)})
+    assert_agrees(Poly(1, {(1,): F(4, 2), (0,): F(0)}), {(1,): F(2)})
+    assert P("x1", 1).coeff((0,)) == 0

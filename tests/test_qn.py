@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, lcm
@@ -1065,6 +1066,30 @@ LADDER_RUNGS = (
     (((0, 0, 0), (1, 0, 0)), 2),
     (((0,), (1,), (2,)), 3),
 )
+
+
+LADDER_GOLDEN = json.loads(
+    (SESSIONS.parent / "bench" / "golden" / "qn_ladder.json").read_text()
+)
+
+
+def test_ladder_goldens_list_the_rungs():
+    assert [(tuple(map(tuple, g["points"])), g["N"]) for g in LADDER_GOLDEN] == list(LADDER_RUNGS)
+
+
+@pytest.mark.parametrize("golden", LADDER_GOLDEN, ids=lambda g: f"{g['points']}N{g['N']}")
+def test_ladder_digest_matches_the_benchmark_golden(golden):
+    points, level = golden["points"], golden["N"]
+    flt = qn_build(qn_spec(points, level))
+    report = verify_qprime_eq_q(points, level, flt=flt)
+    digest = {
+        "codimension": flt.codim,
+        "conductor": flt.final_report.conductor,
+        "basis": [format_poly(g) for g in flt.final_basis.gens],
+        "passed": report.passed,
+        "report": report.to_json(),
+    }
+    assert json.loads(json.dumps(digest)) == golden["digest"]
 
 
 def smallest_containment_level(flt):

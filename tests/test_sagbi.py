@@ -568,6 +568,45 @@ def membership_queries(flt, rng, count):
     return queries
 
 
+def exact_coefficients(p):
+    """Every coefficient is an int, or a Fraction with a denominator: never a float."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for _, c in p.items()
+    )
+
+
+def test_division_sites_stay_exact():
+    # Level generators pass the kernel step's L(c_m)/L(g_j), the raw
+    # kernel its three quotients, and canonical elements the monic scaling.
+    fixtures = [(name, session_filtration(name)) for name in SESSION_NAMES]
+    fixtures += [
+        (f"qn{points}N{level}", qn_build(qn_spec(points, level)))
+        for points, level in dict.fromkeys(LADDER_RUNGS + MEMBER_QN)
+    ]
+    assert len(fixtures) == 9
+    for label, flt in fixtures:
+        below = flt.base
+        for index, level in enumerate(flt.levels, start=1):
+            assert all(map(exact_coefficients, level.basis.gens)), (label, index)
+            raw = kernel_sagbi_raw(below, level.condition.functional)
+            assert all(map(exact_coefficients, raw)), (label, index)
+            below = level.basis
+        warm = flt.final_basis
+        heads = [
+            m
+            for degree in range(flt.final_report.conductor + 4)
+            for m in monomials_of_degree(flt.n, degree)
+            if warm.contains_monomial(m)
+        ]
+        for m in reversed(heads):
+            warm.canonical_element(m)
+        for m in heads:
+            element = cold(warm).canonical_element(m)
+            assert exact_coefficients(element), (label, m)
+            assert exact_coefficients(warm.canonical_element(m)), (label, m)
+            assert element == warm.canonical_element(m), (label, m)
+
+
 def test_canonical_element_high_power_within_default_recursion_limit():
     basis = session_filtration("a1").final_basis
     limit = sys.getrecursionlimit()
@@ -629,6 +668,8 @@ def test_subduction_matches_product_oracle(seed=47, count=8):
             slow = subduce_by_products(f, cold(flt.final_basis))
             assert fast.remainder.is_zero() == slow.remainder.is_zero() == member, label
             assert format_poly(fast.remainder) == format_poly(slow.remainder), label
+            assert exact_coefficients(fast.remainder), label
+            assert all(type(step.coeff) in (int, Fraction) for step in fast.steps), label
 
 
 def test_random_remainders_match_product_oracle_modulo_the_algebra(seed=53, rounds=400):
