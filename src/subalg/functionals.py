@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateCondition, DimensionMismatch
 from .jets import JetSpace
-from .linalg import Echelon, integral, solve
+from .linalg import Echelon, SparseRow, integral, solve
 from .poly import Partials, Point, Poly, _as_int, as_fraction, as_point
 
 
@@ -225,36 +225,27 @@ class Condition:
     kind: ConditionKind
 
 
-def check_leibniz(
+def leibniz_on_jets(
+    space: JetSpace,
     functional: LinearFunctional,
-    alpha: Sequence,
-    beta: Sequence,
-    span: Sequence[Poly],
+    alpha: Point,
+    beta: Point,
+    jets: Iterable[SparseRow],
 ) -> bool:
-    """Test L(fg) = f(alpha) L(g) + g(beta) L(f) for all f, g in span(span).
+    """Test L(fg) = f(alpha) L(g) + g(beta) L(f) on an echelon basis of jets.
 
-    ``span`` should be a spanning set of the algebra being tested,
-    truncated by the caller to the degree bound that makes the pair test
-    conclusive for it.  Each element's jet (at the functional's points,
-    alpha and beta, up to the functional's order) is taken once, and
-    L(fg) is read off the truncated jet product, exact up to that order.
-    The defect L(fg) - f(alpha) L(g) - g(beta) L(f) is bilinear in the
-    jets of f and g, so it is tested in both orders on the pairs of an
-    echelon basis of the jets only: at most r(r+1)/2 products for jet
-    rank r, however long the span.
+    ``jets`` spans the jets in ``space`` of the algebra being tested, and
+    ``space`` holds the functional's atoms, alpha and beta.  L(fg) is
+    read off the truncated jet product, exact up to the space's cap.  The
+    defect L(fg) - f(alpha) L(g) - g(beta) L(f) is bilinear in the jets
+    of f and g, so it is tested in both orders on the pairs of the basis
+    only: at most r(r+1)/2 products for jet rank r.
     """
-    n = functional.n
-    a = as_point(alpha, n)
-    b = as_point(beta, n)
-    space = JetSpace(sorted(set(functional.points()) | {a, b}), functional.max_order, n)
     # The defect is linear in L and bilinear in the jets, so integer
     # multiples of both decide it.
     covector = integral(space.functional_covector(functional))
-    basis = Echelon()
-    for f in span:
-        basis.add(space.jet(f))
-    jets = list(basis.pivot_rows.values())
-    ev_a, ev_b = space.evaluation_covector(a), space.evaluation_covector(b)
+    jets = list(jets)
+    ev_a, ev_b = space.evaluation_covector(alpha), space.evaluation_covector(beta)
     values = [space.pair(covector, u) for u in jets]
     at_alpha = [space.pair(ev_a, u) for u in jets]
     at_beta = [space.pair(ev_b, u) for u in jets]
@@ -266,6 +257,31 @@ def check_leibniz(
             if product != at_alpha[j] * values[i] + at_beta[i] * values[j]:
                 return False
     return True
+
+
+def check_leibniz(
+    functional: LinearFunctional,
+    alpha: Sequence,
+    beta: Sequence,
+    span: Sequence[Poly],
+) -> bool:
+    """Test L(fg) = f(alpha) L(g) + g(beta) L(f) for all f, g in span(span).
+
+    The verdict is about the linear span of ``span`` only.  Each
+    element's jet (at the functional's points, alpha and beta, up to the
+    functional's order) is taken once and reduced to an echelon basis,
+    on which ``leibniz_on_jets`` runs the pair test, however long the
+    span.  A filtration's build validates its levels on their jets
+    directly, without a span.
+    """
+    n = functional.n
+    a = as_point(alpha, n)
+    b = as_point(beta, n)
+    space = JetSpace(sorted(set(functional.points()) | {a, b}), functional.max_order, n)
+    basis = Echelon()
+    for f in span:
+        basis.add(space.jet(f))
+    return leibniz_on_jets(space, functional, a, b, basis.pivot_rows.values())
 
 
 def express_in_span(

@@ -39,19 +39,11 @@ if TYPE_CHECKING:
     from .functionals import LinearFunctional
 
 # Most coordinates a jet space may have.  Condition orders set the caps:
-# validation takes the largest order, derivation and cotangent spaces twice
-# it plus one.  The derivation ansatz multiplies its ideal jets pairwise, so
+# a build validates in one space over every condition point at the largest
+# order, derivation and cotangent spaces take twice it plus one.  The derivation ansatz multiplies its ideal jets pairwise, so
 # its cost grows with the square of the size.  Larger spaces are refused
 # before any work starts.
 MAX_JET_DIM = 22_000
-
-
-def _refuse_oversized(npoints: int, cap: int, n: int) -> None:
-    """Raise JetSpaceTooLarge for a space of more than MAX_JET_DIM coordinates."""
-    size = npoints * comb(n + cap, n)
-    if size > MAX_JET_DIM:
-        raise JetSpaceTooLarge(f"refusing a jet space of {size} coordinates "
-                               f"(order cap {cap}); the limit is {MAX_JET_DIM}")
 
 
 def _falling_powers(e: int, x: int | Fraction, cap: int) -> list[tuple[int, int | Fraction]]:
@@ -84,7 +76,10 @@ class JetSpace:
             raise ValueError("jet base points must be pairwise distinct")
         if not self.points:
             raise ValueError("a jet space needs at least one base point")
-        _refuse_oversized(len(self.points), cap, n)
+        size = len(self.points) * comb(n + cap, n)
+        if size > MAX_JET_DIM:
+            raise JetSpaceTooLarge(f"refusing a jet space of {size} coordinates "
+                                   f"(order cap {cap}); the limit is {MAX_JET_DIM}")
         self.cap = cap
         partials = sorted(monomials_up_to(n, cap), key=lambda m: (sum(m), m))
         self._partials = partials

@@ -22,6 +22,15 @@ d of the first generator where L is nonzero, so its canonical element of
 head m is the level's canonical element of m corrected by a multiple of
 that generator.  The kernel step reads its basis off those cached
 elements; the raw products of ``kernel_sagbi_raw`` remain as its oracle.
+A kernel basis keeps that link to its level, so a canonical element
+cached below is handed down by the same correction, and a level whose
+codimension scan has been cross-checked answers semigroup membership
+from its certified holes.
+
+A build validates each condition on the level's jet shadow: integer rows
+spanning the jets of the level at every condition point, cut by one
+elimination step per level.  The Leibniz rule on those jets is the rule
+on the whole level, so no spanning set of polynomials is built for it.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add, lt, sub
 from typing import Iterable, Sequence
 
@@ -40,8 +50,9 @@ from .errors import (
     NotAProperCondition,
     RedundantCondition,
 )
-from .functionals import Condition, LinearFunctional, check_leibniz
-from .jets import _refuse_oversized
+from .functionals import Condition, LinearFunctional, leibniz_on_jets
+from .jets import JetSpace
+from .linalg import Echelon, integral
 from .poly import (
     Monomial,
     Poly,
@@ -110,7 +121,7 @@ def _subtract(
 class SagbiBasis:
     """Canonicalized generators of a subalgebra, plus cached reductions."""
 
-    __slots__ = ("n", "order", "gens", "_degrees", "_witness_memo", "_canon")
+    __slots__ = ("n", "order", "gens", "_degrees", "_witness_memo", "_canon", "_holes", "_parent")
 
     def __init__(self, n: int, order: TermOrder, gens: Sequence[Poly]):
         self.n = n
@@ -121,6 +132,11 @@ class SagbiBasis:
             raise ValueError("generators must have pairwise distinct leading monomials")
         self._witness_memo: dict[Monomial, tuple[int, ...] | None] = {}
         self._canon: dict[Monomial, Poly] = {}
+        # The certified missing monomials, set once a codimension scan
+        # has been cross-checked; None means "ask the witness search".
+        self._holes: frozenset[Monomial] | None = None
+        # For a kernel basis: (parent basis, L, g_j, head d of g_j, L(g_j)).
+        self._parent: tuple | None = None
 
     def degrees(self) -> tuple[Monomial, ...]:
         """Leading monomials of the generators, ascending."""
@@ -133,6 +149,8 @@ class SagbiBasis:
         return _witness_search(tuple(mono), self._degrees, self._witness_memo)
 
     def contains_monomial(self, mono: Monomial) -> bool:
+        if self._holes is not None:
+            return tuple(mono) not in self._holes
         return self.witness(mono) is not None
 
     def product_for_exponents(self, exponents: Sequence[int]) -> Poly:
@@ -152,7 +170,10 @@ class SagbiBasis:
     def canonical_element(self, mono: Monomial) -> Poly:
         """The monic member with head ``mono`` and a tail outside the semigroup.
 
-        Peel the first generator with a nonzero witness exponent off the
+        A kernel basis first asks its parent: a head m != d cached there
+        gives c_m - (L(c_m)/L(g_j))·g_j, which lies in the kernel and
+        has both tails in the kernel's missing set.  Any other head
+        peels the first generator with a nonzero witness exponent off the
         cached element of the rest, then clear the product's semigroup
         monomials below the head in one term dict.  Their own elements'
         tails avoid the semigroup, so one pass is complete.  An explicit
@@ -177,6 +198,8 @@ class SagbiBasis:
                 for m, c in tail:
                     _subtract(terms, c, canon[m])
                 canon[head] = Poly(self.n, terms)
+            elif (handed := self._handed_down(head)) is not None:
+                canon[head] = handed
             else:
                 e = self.witness(head)
                 if e is None:  # only the root can miss: rests and tails are members
@@ -201,6 +224,16 @@ class SagbiBasis:
                 pending[head] = (product, tail)
                 stack.extend(m for m, _ in tail)
         return canon[root]
+
+    def _handed_down(self, mono: Monomial) -> Poly | None:
+        """The parent's cached element of ``mono`` corrected into the kernel, or None."""
+        if self._parent is None:
+            return None
+        parent, functional, gj, d, value = self._parent
+        element = parent._canon.get(mono)
+        if element is None or mono == d:
+            return None
+        return _kernel_element(element, functional.apply(element), gj, value)
 
     def __iter__(self):
         return iter(self.gens)
@@ -332,6 +365,15 @@ def kernel_sagbi_raw(basis: SagbiBasis, functional: LinearFunctional) -> list[Po
     return out
 
 
+def _kernel_element(element: Poly, coeff: int | Fraction, gj: Poly, value) -> Poly:
+    """element - (coeff/value)·gj, with L(element) = coeff and L(gj) = value."""
+    if not coeff:
+        return element
+    terms = dict(element.items())
+    _subtract(terms, Fraction(coeff, value), gj)
+    return Poly(element.n, terms)
+
+
 def _pivot(basis: SagbiBasis, functional: LinearFunctional) -> tuple[int, Fraction]:
     """The first generator index where the functional is nonzero, and its value."""
     for i, g in enumerate(basis.gens):
@@ -359,7 +401,8 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
     the kernel, and both tails lie in the missing set, so its tail
     avoids S': it is the kernel's canonical element with head m.  No
     product is formed, and L meets only elements of at most codim + 1
-    terms.
+    terms.  The kernel basis keeps its parent, L, g_j and L(g_j), so its
+    own canonical elements are handed down the same way.
     """
     j, value = _pivot(basis, functional)
     degrees = basis.degrees()
@@ -383,13 +426,11 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
         ):
             continue
         cm = basis.canonical_element(m)
-        coeff = 0 if m in vanishing else functional.apply(cm)
-        if coeff:
-            terms = dict(cm.items())
-            _subtract(terms, Fraction(coeff, value), gj)
-            cm = Poly(basis.n, terms)
-        gens.append(cm)
-    return SagbiBasis(basis.n, basis.order, gens)
+        gens.append(_kernel_element(cm, 0 if m in vanishing else functional.apply(cm), gj, value))
+    kernel = SagbiBasis(basis.n, basis.order, gens)
+    kernel._canon.update(zip(kernel.degrees(), gens))
+    kernel._parent = (basis, functional, gj, d, value)
+    return kernel
 
 
 def dropped_degree(basis: SagbiBasis, functional: LinearFunctional) -> Monomial:
@@ -419,11 +460,16 @@ class CodimReport:
 
 
 def _scan_missing(basis: SagbiBasis, target: int, degree_cap: int) -> list[Monomial]:
+    """Monomials outside the semigroup by degree, from the witness search alone.
+
+    This is the independent certificate of a kernel step, so it never
+    reads a hole set.
+    """
     missing: list[Monomial] = []
     degree = 0
     while len(missing) < target and degree <= degree_cap:
         for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key):
-            if not basis.contains_monomial(mono):
+            if basis.witness(mono) is None:
                 missing.append(mono)
         degree += 1
     return missing
@@ -513,6 +559,88 @@ def truncated_algebra_basis(
     return out
 
 
+class _JetShadow:
+    """The jets of a filtration level, as rows over one jet space.
+
+    Every condition is a combination of derivative evaluations, so it
+    factors through the truncated jet map j at every condition point,
+    alpha and beta, up to the largest condition order.  j is onto, so
+    j(K[x]) is the whole space (the unit rows), and j(A ∩ ker L) =
+    j(A) ∩ ker ℓ for ℓ the covector of L: each level is one hyperplane
+    section of the level below.  j is a ring homomorphism, so the
+    Leibniz rule on A is the pair test on these rows, projected to the
+    condition's own coordinates.  The rows stay primitive integer rows.
+    """
+
+    __slots__ = ("space", "rows")
+
+    def __init__(self, n: int, conditions: Sequence[Condition]):
+        points: set = set()
+        for condition in conditions:
+            points.update(condition.functional.points())
+            points.update((condition.kind.alpha, condition.kind.beta))
+        cap = max(condition.functional.max_order for condition in conditions)
+        self.space = JetSpace(sorted(points), cap, n)
+        self.rows: list[dict[int, int]] = [{c: 1} for c in range(self.space.dim)]
+
+    def project(self, condition: Condition) -> tuple[JetSpace, Echelon]:
+        """The condition's jet space, and the echelon of the rows projected to it."""
+        functional, kind = condition.functional, condition.kind
+        points = sorted(set(functional.points()) | {kind.alpha, kind.beta})
+        space = JetSpace(points, functional.max_order, functional.n)
+        big = self.space
+        projection = {
+            big.index(big.point_index(space.points[pi]), a): c
+            for c, (pi, a) in enumerate(space.coords)
+        }
+        jets = Echelon()
+        for row in self.rows:
+            projected = {projection[c]: v for c, v in row.items() if c in projection}
+            if projected and jets.add(projected) is not None and jets.rank == space.dim:
+                break
+        return space, jets
+
+    def leibniz_holds(self, condition: Condition) -> bool:
+        """The condition's Leibniz rule on the level these rows span."""
+        space, jets = self.project(condition)
+        kind = condition.kind
+        return leibniz_on_jets(
+            space, condition.functional, kind.alpha, kind.beta, jets.pivot_rows.values()
+        )
+
+    def cut(self, functional: LinearFunctional) -> bool:
+        """Intersect with ker ℓ by one fraction-free elimination step.
+
+        The sparsest row where ℓ is nonzero is the pivot; every other
+        such row r becomes ℓ(p)·r − ℓ(r)·p over their gcd, and the pivot
+        leaves.  Returns False, changing nothing, when ℓ vanishes on the
+        rows.
+        """
+        covector = integral(self.space.functional_covector(functional))
+        pair = self.space.pair
+        hits = [(i, value) for i, row in enumerate(self.rows) if (value := pair(covector, row))]
+        if not hits:
+            return False
+        p, vp = min(hits, key=lambda hit: len(self.rows[hit[0]]))
+        pivot = self.rows[p]
+        for i, value in hits:
+            if i == p:
+                continue
+            g = gcd(vp, value)
+            scale, factor = vp // g, value // g
+            row = {c: scale * v for c, v in self.rows[i].items()}
+            for c, v in pivot.items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            content = gcd(*row.values())
+            self.rows[i] = row if content == 1 else {c: v // content for c, v in row.items()}
+        del self.rows[p]
+        return True
+
+
 def build_from_conditions(
     n: int,
     conditions: Sequence[Condition],
@@ -521,36 +649,45 @@ def build_from_conditions(
     """Validate conditions level by level and cut the kernel chain.
 
     Each condition must satisfy the Leibniz rule for its declared points
-    on the algebra it cuts, and must not vanish on all of it.  The
+    on the algebra it cuts, and must not vanish on all of it.  Both are
+    decided on the level's jet shadow (``_JetShadow``), whose one jet
+    space is built, or refused as too large, before level 1.  The
     codimension grows by exactly one per level; the scan certificate and
-    the dropped leading monomial are cross-checked on every step.
+    the dropped leading monomial are cross-checked on every step, and a
+    cross-checked level answers semigroup membership from its holes.
     """
     base = variables_basis(n, order)
+    base._holes = frozenset()
     current = base
-    report = CodimReport(0, (), 0)
+    # A condition of the wrong size is refused at its own level.
+    sized = [condition for condition in conditions if condition.functional.n == n]
+    shadow = _JetShadow(n, sized) if sized else None
     levels: list[FiltrationLevel] = []
+    missing: set[Monomial] = set()
     for index, condition in enumerate(conditions, start=1):
         functional = condition.functional
         if functional.n != n:
             raise InvalidFiltration(index, "condition has the wrong variable count")
-        kind = condition.kind
-        # Refuse check_leibniz's jet space before spanning the level for it.
-        points = set(functional.points()) | {kind.alpha, kind.beta}
-        _refuse_oversized(len(points), functional.max_order, n)
-        bound = functional.max_order + report.conductor
-        span = truncated_algebra_basis(current, report, bound)
-        if not check_leibniz(functional, kind.alpha, kind.beta, span):
+        if not shadow.leibniz_holds(condition):
             raise InvalidFiltration(index, "condition fails the Leibniz rule on its level")
         # For a functional that does satisfy the Leibniz rule, vanishing on
-        # the generators forces vanishing on the whole level.
+        # the generators is vanishing on the whole level, and on its jets.
         try:
             dropped = dropped_degree(current, functional)
         except NotAProperCondition:
-            raise RedundantCondition(index, "condition vanishes on its level") from None
+            dropped = None
+        if not shadow.cut(functional):
+            if dropped is not None:
+                raise InvariantError("condition vanishes on its level's jets but not on a generator")
+            raise RedundantCondition(index, "condition vanishes on its level")
+        if dropped is None:
+            raise InvariantError("condition vanishes on every generator but not on its level's jets")
         current = kernel_sagbi(current, functional)
         report = codimension_certified(current, len(levels) + 1)
-        if set(report.missing) != set(levels[-1].report.missing if levels else ()) | {dropped}:
+        missing.add(dropped)
+        if set(report.missing) != missing:
             raise InvariantError("kernel step did not drop exactly the expected monomial")
+        current._holes = frozenset(missing)
         levels.append(FiltrationLevel(condition, current, report))
     return ConditionFiltration(n, order, base, levels)
 

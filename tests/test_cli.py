@@ -339,7 +339,7 @@ def test_duplicate_qn_points_exit_one(capsys):
 
 def test_huge_jet_space_exits_one(tmp_path, monkeypatch, capsys):
     # Validating one order-60 condition in 3 variables needs a cap-60 jet space.
-    # It is refused before the level's span (39,714 canonical elements) is built.
+    # It is refused before level 1 is cut, and no span of the level is built.
     condition = {"type": "derivation", "point": [0, 0, 0], "terms": [{"partials": [1] * 60}]}
     session = tmp_path / "order-60.json"
     session.write_text(json.dumps({"n": 3, "conditions": [condition]}))
@@ -357,6 +357,40 @@ def test_huge_jet_space_exits_one(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: refusing a jet space of 39711 coordinates")
     assert err.count("\n") == 1
     assert spans == []
+
+
+def test_oversized_jet_union_exits_one_before_any_level(tmp_path, monkeypatch, capsys):
+    # Twelve gluings need 2 points at order 0 each, the order-20 condition
+    # one point at 1,771 coordinates; all 13 points at order 20 need 23,023.
+    origin = [0, 0, 0]
+    conditions = [{"type": "chardiff", "alpha": [i, 0, 0], "beta": origin} for i in range(1, 13)]
+    conditions.append({"type": "derivation", "point": origin, "terms": [{"partials": [1] * 20}]})
+    session = tmp_path / "union.json"
+    session.write_text(json.dumps({"n": 3, "conditions": conditions}))
+    cuts = []
+    monkeypatch.setattr(sagbi, "kernel_sagbi", lambda *args: cuts.append(args))
+    code, out, err = run(capsys, "build", str(session))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: refusing a jet space of 23023 coordinates (order cap 20)")
+    assert err.count("\n") == 1
+    assert cuts == []
+
+
+def test_misdeclared_derivation_exits_two(tmp_path, capsys):
+    # f'(1) + f'(-1) declared a derivation at 0 meets the rule on every
+    # pair of degree <= 1 but fails it on (x1, x1^2).
+    condition = {
+        "type": "derivation",
+        "point": [0],
+        "terms": [{"partials": [1], "point": [1]}, {"partials": [1], "point": [-1]}],
+    }
+    session = tmp_path / "two-point-derivative.json"
+    session.write_text(json.dumps({"n": 1, "conditions": [condition]}))
+    code, out, err = run(capsys, "build", str(session))
+    assert code == 2
+    assert out == ""
+    assert err == "invalid filtration at level 1: condition fails the Leibniz rule on its level\n"
 
 
 def test_huge_qn_spec_exits_one(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from subalg.cli import Session
 from subalg.errors import (
     InvalidFiltration,
     InvariantError,
+    JetSpaceTooLarge,
     NotAProperCondition,
     RedundantCondition,
 )
@@ -19,7 +20,9 @@ from subalg.functionals import (
     ConditionKind,
     LinearFunctional,
     character_difference,
+    check_leibniz,
 )
+from subalg.linalg import Echelon
 from subalg.poly import DEGREVLEX, Poly, TermOrder, format_poly, monomials_of_degree, parse_poly
 from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import (
@@ -838,3 +841,275 @@ def test_builds_form_no_raw_kernel_and_minimalize_once(monkeypatch, seed=67, rou
         build_from_conditions(n, conditions, order)
         builds += 1
     assert len(calls) == builds  # variables_basis alone
+
+
+# -- the jet shadow against spans of canonical elements ---------------
+
+
+def evaluation_difference_as_derivation(n):
+    """ev_(1,0..) - ev_(0,..) declared a derivation at (1,0..): not one."""
+    one = (1,) + (0,) * (n - 1)
+    functional = LinearFunctional.evaluation(one) - LinearFunctional.evaluation((0,) * n)
+    return Condition(functional, ConditionKind.derivation(one))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluation_difference_declared_a_derivation_is_refused(n):
+    # L(x1·x1) = 1, but 2·x1(1)·L(x1) = 2.  The span of degree
+    # max_order + conductor = 0 that validated level 1 saw only constants.
+    condition = evaluation_difference_as_derivation(n)
+    with pytest.raises(InvalidFiltration) as info:
+        build_from_conditions(n, [condition], DEGREVLEX)
+    assert type(info.value) is InvalidFiltration
+    assert info.value.level == 1
+    assert str(info.value).startswith("condition 1:")
+    x1 = Poly.variable(n, 1)
+    functional, alpha = condition.functional, condition.kind.alpha
+    assert functional.apply(x1 * x1) == 1
+    assert 2 * x1.evaluate(alpha) * functional.apply(x1) == 2
+    # Declared as what it is, it cuts.
+    kind = ConditionKind.chardiff(alpha, (0,) * n)
+    assert build_from_conditions(n, [Condition(functional, kind)], DEGREVLEX).codim == 1
+
+
+def test_first_derivatives_at_two_points_declared_a_derivation_are_refused():
+    # f'(1) + f'(-1) at 0: it kills 1 and x1^2 and meets the rule on every
+    # pair of degree <= 1, but L(x1^3) = 6 where 3·0^2·L(x1) = 0.
+    functional = LinearFunctional.partial_at((1,), (1,)) + LinearFunctional.partial_at((-1,), (1,))
+    condition = Condition(functional, ConditionKind.derivation((0,)))
+    with pytest.raises(InvalidFiltration) as info:
+        build_from_conditions(1, [condition], DEGREVLEX)
+    assert type(info.value) is InvalidFiltration and info.value.level == 1
+    assert functional.apply(P("x1^3", 1)) == 6
+
+
+def chain(texts):
+    """Conditions from (kind, point, other) triples."""
+    out = []
+    for kind, point, other in texts:
+        if kind == "chardiff":
+            out.append(Condition(character_difference(point, other), ConditionKind.chardiff(point, other)))
+        elif kind == "zero":
+            out.append(Condition(LinearFunctional.zero(len(point)), ConditionKind.derivation(point)))
+        else:
+            out.append(Condition(LinearFunctional.partial_at(point, other), ConditionKind.derivation(point)))
+    return out
+
+
+# Refused condition lists beside test_chain_rejects_*: the error type and
+# the level index they name, the same as when a span validated them.
+REFUSED = [
+    ("zero functional", 1, [("zero", (0,), None)], RedundantCondition, 1),
+    ("repeated gluing", 2,
+     [("chardiff", (1, 0), (0, 0)), ("chardiff", (0, 1), (0, 0)), ("chardiff", (0, 1), (1, 0))],
+     RedundantCondition, 3),
+    ("second order before first", 2,
+     [("chardiff", (1, 0), (0, 0)), ("derivation", (0, 0), (1, 0)), ("derivation", (0, 0), (0, 2))],
+     InvalidFiltration, 3),
+    ("second derivative after gluing", 1,
+     [("chardiff", (1,), (0,)), ("derivation", (0,), (2,))], InvalidFiltration, 2),
+]
+
+
+@pytest.mark.parametrize("label,n,texts,error,level", REFUSED, ids=[r[0] for r in REFUSED])
+def test_refused_fixtures_keep_their_error_and_level(label, n, texts, error, level):
+    with pytest.raises(InvalidFiltration) as info:
+        build_from_conditions(n, chain(texts), DEGREVLEX)
+    assert type(info.value) is error
+    assert info.value.level == level
+
+
+def shadow_fixtures():
+    """Sessions, the ladder rungs, two plane points at N=2..5, random filtrations."""
+    out = [(name, session_filtration(name)) for name in SESSION_NAMES]
+    out += [(f"qn{points}N{level}", qn_build(qn_spec(points, level))) for points, level in LADDER_RUNGS]
+    out += [(f"plane N={level}", qn_build(qn_spec([(0, 0), (0, 1)], level))) for level in range(2, 6)]
+    for n, conditions, order in random_kernel_inputs(random.Random(71), 45):
+        out.append((f"random/{order.name}", build_from_conditions(n, conditions, order)))
+    return out
+
+
+def replay_shadow(flt, extra=()):
+    """(condition, level basis, report, shadow) per level, the shadow before its cut.
+
+    ``extra`` conditions widen the shadow's jet space and are never cut.
+    """
+    shadow = sagbi._JetShadow(flt.n, list(flt.conditions()) + list(extra))
+    basis, report = flt.base, CodimReport(0, (), 0)
+    for level in flt.levels:
+        yield level.condition, basis, report, shadow
+        assert shadow.cut(level.condition.functional)
+        basis, report = level.basis, level.report
+
+
+def span_reaching(space, basis, report, rank):
+    """Canonical elements by head degree until their jets reach ``rank``."""
+    missing = set(report.missing)
+    jets, span = Echelon(), []
+    guard = report.conductor + (space.cap + 1) * len(space.points) + 2
+    for degree in range(guard + 1):
+        if jets.rank == rank:
+            return jets, span
+        for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key):
+            if mono not in missing:
+                span.append(basis.canonical_element(mono))
+                jets.add(space.jet(span[-1]))
+    assert jets.rank == rank, "the span never reached the shadow's rank"
+    return jets, span
+
+
+def perturbed(condition, rng):
+    """Conditions around a valid one that mostly fail its level's Leibniz rule."""
+    functional, kind = condition.functional, condition.kind
+    n = functional.n
+    elsewhere = tuple(c + 1 for c in kind.alpha)
+    higher = LinearFunctional.partial_at(kind.alpha, tuple(rng.randint(0, 2) for _ in range(n)))
+    return [
+        Condition(functional, ConditionKind("chardiff", elsewhere, kind.beta)),
+        Condition(functional, ConditionKind("chardiff", kind.beta, kind.alpha)),
+        Condition(LinearFunctional.evaluation(kind.alpha), ConditionKind.derivation(kind.alpha)),
+        Condition(functional + higher, kind),
+    ]
+
+
+def test_shadow_projection_equals_a_canonical_span_and_its_verdict():
+    rng = random.Random(73)
+    levels = verdicts = refusals = 0
+    for label, flt in shadow_fixtures():
+        probes = {level.condition: perturbed(level.condition, rng) for level in flt.levels}
+        extra = [c for wrong in probes.values() for c in wrong]
+        for condition, basis, report, shadow in replay_shadow(flt, extra):
+            for probe in [condition] + probes[condition]:
+                space, projected = shadow.project(probe)
+                jets, span = span_reaching(space, basis, report, projected.rank)
+                assert projected.pivot_rows == jets.pivot_rows, (label, probe)
+                verdict = shadow.leibniz_holds(probe)
+                kind = probe.kind
+                assert verdict == check_leibniz(probe.functional, kind.alpha, kind.beta, span), (label, probe)
+                assert verdict or probe is not condition, (label, probe)
+                verdicts += 1
+                refusals += not verdict
+            levels += 1
+    assert levels > 200
+    assert verdicts // 4 < refusals < verdicts
+
+
+def test_builds_take_no_span_and_no_polynomial_jets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a build validated on a span of polynomials")
+
+    monkeypatch.setattr(sagbi, "truncated_algebra_basis", refuse)
+    monkeypatch.setattr(sagbi.JetSpace, "jet", refuse)
+    assert sum(flt.codim for _, flt in shadow_fixtures()) > 200
+
+
+def test_shadow_cut_must_agree_with_the_generators(monkeypatch):
+    conditions = chain([("chardiff", (1, 0), (0, 0)), ("derivation", (0, 0), (1, 0))])
+    assert build_from_conditions(2, conditions, DEGREVLEX).codim == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(sagbi._JetShadow, "cut", lambda self, functional: False)
+        with pytest.raises(InvariantError, match="vanishes on its level's jets"):
+            build_from_conditions(2, conditions, DEGREVLEX)
+
+    def vanishing(basis, functional):
+        raise NotAProperCondition("patched")
+
+    monkeypatch.setattr(sagbi, "dropped_degree", vanishing)
+    with pytest.raises(InvariantError, match="vanishes on every generator"):
+        build_from_conditions(2, conditions, DEGREVLEX)
+
+
+def test_oversized_jet_union_is_refused_before_level_one(monkeypatch):
+    # Each condition's own space is small: 2 points at order 0, or one
+    # point at order 20 (1,771 coordinates).  Their union at order 20
+    # over 13 points has 23,023.
+    origin = (0, 0, 0)
+    conditions = [
+        Condition(character_difference((i, 0, 0), origin), ConditionKind.chardiff((i, 0, 0), origin))
+        for i in range(1, 13)
+    ]
+    conditions.append(
+        Condition(LinearFunctional.partial_at(origin, (20, 0, 0)), ConditionKind.derivation(origin))
+    )
+    cuts = []
+    monkeypatch.setattr(sagbi, "kernel_sagbi", lambda *args: cuts.append(args))
+    with pytest.raises(JetSpaceTooLarge, match="23023 coordinates"):
+        build_from_conditions(3, conditions, DEGREVLEX)
+    assert cuts == []
+
+
+# -- certified holes and handed-down canonical elements ---------------
+
+
+def test_certified_levels_answer_membership_from_their_holes():
+    checked = 0
+    for label, flt in shadow_fixtures():
+        assert flt.base._holes == frozenset()
+        for index, level in enumerate(flt.levels, start=1):
+            basis = level.basis
+            assert basis._holes == frozenset(level.report.missing), (label, index)
+            top = level.report.conductor + basis.max_generator_degree()
+            for degree in range(top + 1):
+                for mono in monomials_of_degree(flt.n, degree):
+                    assert basis.contains_monomial(mono) == (basis.witness(mono) is not None)
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_codimension_scan_never_reads_the_holes():
+    flt = session_filtration("a4")
+    basis = flt.final_basis
+    holes = basis._holes
+    try:
+        basis._holes = frozenset()  # a wrong hole set: every monomial a member
+        assert codimension_certified(basis, flt.codim) == flt.final_report
+    finally:
+        basis._holes = holes
+
+
+def test_handed_down_elements_equal_cold_ones(monkeypatch):
+    handed = []
+    original = SagbiBasis._handed_down
+
+    def recording(self, mono):
+        element = original(self, mono)
+        if element is not None:
+            handed.append((self, mono, element))
+        return element
+
+    monkeypatch.setattr(SagbiBasis, "_handed_down", recording)
+    # Walk each chain upward: a level's elements are cached before its
+    # kernel is asked for the same heads.
+    for _, flt in shadow_fixtures():
+        top = flt.final_report.conductor + flt.final_basis.max_generator_degree()
+        heads = [
+            mono
+            for degree in range(top + 1)
+            for mono in monomials_of_degree(flt.n, degree)
+            if flt.final_basis.contains_monomial(mono)
+        ]
+        for level in flt.levels:
+            for mono in heads:
+                level.basis.canonical_element(mono)
+    monkeypatch.undo()
+    assert len(handed) > 5_000
+    colds = {}
+    for basis, mono, element in handed:
+        if id(basis) not in colds:
+            colds[id(basis)] = cold(basis)
+        assert element == colds[id(basis)].canonical_element(mono), mono
+        assert element is basis.canonical_element(mono)
+    # Cold copies get neither holes nor a parent.
+    assert all(c._holes is None and c._parent is None for c in colds.values())
+
+
+def test_kernel_step_on_certified_levels_matches_raw_product_oracle():
+    for label, flt in shadow_fixtures():
+        below = flt.base
+        for index, level in enumerate(flt.levels, start=1):
+            assert below._holes is not None
+            functional = level.condition.functional
+            fast = kernel_sagbi(below, functional)
+            assert fast.gens == kernel_by_raw_products(below, functional).gens, (label, index)
+            assert fast._parent[0] is below
+            below = level.basis
