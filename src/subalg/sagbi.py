@@ -22,10 +22,8 @@ d of the first generator where L is nonzero, so its canonical element of
 head m is the level's canonical element of m corrected by a multiple of
 that generator.  The kernel step reads its basis off those cached
 elements; the raw products of ``kernel_sagbi_raw`` remain as its oracle.
-A kernel basis keeps that link to its level, so a canonical element
-cached below is handed down by the same correction, and a level whose
-codimension scan has been cross-checked answers semigroup membership
-from its certified holes.
+A level whose codimension scan has been cross-checked answers semigroup
+membership from its certified holes.
 
 A build validates each condition on the level's jet shadow: integer rows
 spanning the jets of the level at every condition point, cut by one
@@ -57,6 +55,7 @@ from .poly import (
     Monomial,
     Poly,
     TermOrder,
+    as_point,
     monomials_of_degree,
 )
 
@@ -121,7 +120,7 @@ def _subtract(
 class SagbiBasis:
     """Canonicalized generators of a subalgebra, plus cached reductions."""
 
-    __slots__ = ("n", "order", "gens", "_degrees", "_witness_memo", "_canon", "_holes", "_parent")
+    __slots__ = ("n", "order", "gens", "_degrees", "_witness_memo", "_canon", "_holes")
 
     def __init__(self, n: int, order: TermOrder, gens: Sequence[Poly]):
         self.n = n
@@ -135,8 +134,6 @@ class SagbiBasis:
         # The certified missing monomials, set once a codimension scan
         # has been cross-checked; None means "ask the witness search".
         self._holes: frozenset[Monomial] | None = None
-        # For a kernel basis: (parent basis, L, g_j, head d of g_j, L(g_j)).
-        self._parent: tuple | None = None
 
     def degrees(self) -> tuple[Monomial, ...]:
         """Leading monomials of the generators, ascending."""
@@ -170,10 +167,7 @@ class SagbiBasis:
     def canonical_element(self, mono: Monomial) -> Poly:
         """The monic member with head ``mono`` and a tail outside the semigroup.
 
-        A kernel basis first asks its parent: a head m != d cached there
-        gives c_m - (L(c_m)/L(g_j))·g_j, which lies in the kernel and
-        has both tails in the kernel's missing set.  Any other head
-        peels the first generator with a nonzero witness exponent off the
+        Peel the first generator with a nonzero witness exponent off the
         cached element of the rest, then clear the product's semigroup
         monomials below the head in one term dict.  Their own elements'
         tails avoid the semigroup, so one pass is complete.  An explicit
@@ -198,8 +192,6 @@ class SagbiBasis:
                 for m, c in tail:
                     _subtract(terms, c, canon[m])
                 canon[head] = Poly(self.n, terms)
-            elif (handed := self._handed_down(head)) is not None:
-                canon[head] = handed
             else:
                 e = self.witness(head)
                 if e is None:  # only the root can miss: rests and tails are members
@@ -224,16 +216,6 @@ class SagbiBasis:
                 pending[head] = (product, tail)
                 stack.extend(m for m, _ in tail)
         return canon[root]
-
-    def _handed_down(self, mono: Monomial) -> Poly | None:
-        """The parent's cached element of ``mono`` corrected into the kernel, or None."""
-        if self._parent is None:
-            return None
-        parent, functional, gj, d, value = self._parent
-        element = parent._canon.get(mono)
-        if element is None or mono == d:
-            return None
-        return _kernel_element(element, functional.apply(element), gj, value)
 
     def __iter__(self):
         return iter(self.gens)
@@ -365,15 +347,6 @@ def kernel_sagbi_raw(basis: SagbiBasis, functional: LinearFunctional) -> list[Po
     return out
 
 
-def _kernel_element(element: Poly, coeff: int | Fraction, gj: Poly, value) -> Poly:
-    """element - (coeff/value)·gj, with L(element) = coeff and L(gj) = value."""
-    if not coeff:
-        return element
-    terms = dict(element.items())
-    _subtract(terms, Fraction(coeff, value), gj)
-    return Poly(element.n, terms)
-
-
 def _pivot(basis: SagbiBasis, functional: LinearFunctional) -> tuple[int, Fraction]:
     """The first generator index where the functional is nonzero, and its value."""
     for i, g in enumerate(basis.gens):
@@ -401,8 +374,7 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
     the kernel, and both tails lie in the missing set, so its tail
     avoids S': it is the kernel's canonical element with head m.  No
     product is formed, and L meets only elements of at most codim + 1
-    terms.  The kernel basis keeps its parent, L, g_j and L(g_j), so its
-    own canonical elements are handed down the same way.
+    terms.
     """
     j, value = _pivot(basis, functional)
     degrees = basis.degrees()
@@ -426,10 +398,15 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
         ):
             continue
         cm = basis.canonical_element(m)
-        gens.append(_kernel_element(cm, 0 if m in vanishing else functional.apply(cm), gj, value))
+        coeff = 0 if m in vanishing else functional.apply(cm)
+        if coeff:
+            terms = dict(cm.items())
+            _subtract(terms, Fraction(coeff, value), gj)
+            cm = Poly(basis.n, terms)
+        gens.append(cm)
     kernel = SagbiBasis(basis.n, basis.order, gens)
+    # Each generator is the kernel's canonical element of its head.
     kernel._canon.update(zip(kernel.degrees(), gens))
-    kernel._parent = (basis, functional, gj, d, value)
     return kernel
 
 
@@ -660,7 +637,11 @@ def build_from_conditions(
     base._holes = frozenset()
     current = base
     # A condition of the wrong size is refused at its own level.
-    sized = [condition for condition in conditions if condition.functional.n == n]
+    sized = [
+        condition
+        for condition in conditions
+        if condition.functional.n == n == len(condition.kind.alpha) == len(condition.kind.beta)
+    ]
     shadow = _JetShadow(n, sized) if sized else None
     levels: list[FiltrationLevel] = []
     missing: set[Monomial] = set()
@@ -668,6 +649,8 @@ def build_from_conditions(
         functional = condition.functional
         if functional.n != n:
             raise InvalidFiltration(index, "condition has the wrong variable count")
+        for point in (condition.kind.alpha, condition.kind.beta):
+            as_point(point, n)  # raises DimensionMismatch at this condition's level
         if not shadow.leibniz_holds(condition):
             raise InvalidFiltration(index, "condition fails the Leibniz rule on its level")
         # For a functional that does satisfy the Leibniz rule, vanishing on

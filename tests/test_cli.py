@@ -377,6 +377,25 @@ def test_oversized_jet_union_exits_one_before_any_level(tmp_path, monkeypatch, c
     assert cuts == []
 
 
+def test_oversized_later_condition_wins_over_an_invalid_first_one(tmp_path, capsys):
+    # The shared jet space is refused before level 1, so the order-60
+    # condition 2 exits 1 before the second derivative declared a
+    # derivation as condition 1 is tested (that alone exits 2).
+    origin = [0, 0, 0]
+    invalid = {"type": "derivation", "point": origin, "terms": [{"partials": [1, 1]}]}
+    huge = {"type": "derivation", "point": origin, "terms": [{"partials": [1] * 60}]}
+    session = tmp_path / "invalid-then-huge.json"
+    session.write_text(json.dumps({"n": 3, "conditions": [invalid]}))
+    code, _, err = run(capsys, "build", str(session))
+    assert code == 2
+    assert err.startswith("invalid filtration at level 1:")
+    session.write_text(json.dumps({"n": 3, "conditions": [invalid, huge]}))
+    code, out, err = run(capsys, "build", str(session))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: refusing a jet space of 39711 coordinates")
+
+
 def test_misdeclared_derivation_exits_two(tmp_path, capsys):
     # f'(1) + f'(-1) declared a derivation at 0 meets the rule on every
     # pair of degree <= 1 but fails it on (x1, x1^2).

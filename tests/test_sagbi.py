@@ -9,6 +9,7 @@ import test_properties as invariants
 from subalg import sagbi
 from subalg.cli import Session
 from subalg.errors import (
+    DimensionMismatch,
     InvalidFiltration,
     InvariantError,
     JetSpaceTooLarge,
@@ -1038,7 +1039,22 @@ def test_oversized_jet_union_is_refused_before_level_one(monkeypatch):
     assert cuts == []
 
 
-# -- certified holes and handed-down canonical elements ---------------
+def test_misfit_point_is_refused_at_its_own_level():
+    # A declared point of the wrong size is left out of the shared jet
+    # space, so an invalid condition before it still names its level.
+    origin = (0, 0)
+    first = Condition(LinearFunctional.partial_at(origin, (1, 0)), ConditionKind.derivation(origin))
+    second = Condition(LinearFunctional.partial_at(origin, (2, 0)), ConditionKind.derivation(origin))
+    misfit = Condition(LinearFunctional.partial_at(origin, (1, 0)), ConditionKind.derivation((0,)))
+    with pytest.raises(InvalidFiltration, match="condition 1:"):
+        build_from_conditions(2, [second, misfit], DEGREVLEX)
+    with pytest.raises(DimensionMismatch, match="got 1"):
+        build_from_conditions(2, [first, misfit], DEGREVLEX)
+    with pytest.raises(DimensionMismatch, match="got 1"):
+        build_from_conditions(2, [misfit], DEGREVLEX)
+
+
+# -- certified holes and seeded canonical elements -------------------
 
 
 def test_certified_levels_answer_membership_from_their_holes():
@@ -1067,40 +1083,15 @@ def test_codimension_scan_never_reads_the_holes():
         basis._holes = holes
 
 
-def test_handed_down_elements_equal_cold_ones(monkeypatch):
-    handed = []
-    original = SagbiBasis._handed_down
-
-    def recording(self, mono):
-        element = original(self, mono)
-        if element is not None:
-            handed.append((self, mono, element))
-        return element
-
-    monkeypatch.setattr(SagbiBasis, "_handed_down", recording)
-    # Walk each chain upward: a level's elements are cached before its
-    # kernel is asked for the same heads.
-    for _, flt in shadow_fixtures():
-        top = flt.final_report.conductor + flt.final_basis.max_generator_degree()
-        heads = [
-            mono
-            for degree in range(top + 1)
-            for mono in monomials_of_degree(flt.n, degree)
-            if flt.final_basis.contains_monomial(mono)
-        ]
-        for level in flt.levels:
-            for mono in heads:
-                level.basis.canonical_element(mono)
-    monkeypatch.undo()
-    assert len(handed) > 5_000
-    colds = {}
-    for basis, mono, element in handed:
-        if id(basis) not in colds:
-            colds[id(basis)] = cold(basis)
-        assert element == colds[id(basis)].canonical_element(mono), mono
-        assert element is basis.canonical_element(mono)
-    # Cold copies get neither holes nor a parent.
-    assert all(c._holes is None and c._parent is None for c in colds.values())
+def test_seeded_kernel_elements_equal_cold_ones():
+    for label, flt in shadow_fixtures():
+        for index, level in enumerate(flt.levels, start=1):
+            basis = level.basis
+            fresh = cold(basis)
+            for mono, element in basis._canon.items():
+                assert element == fresh.canonical_element(mono), (label, index, mono)
+            # Cold copies get no holes, so their queries take the witness search.
+            assert fresh._holes is None
 
 
 def test_kernel_step_on_certified_levels_matches_raw_product_oracle():
@@ -1111,5 +1102,4 @@ def test_kernel_step_on_certified_levels_matches_raw_product_oracle():
             functional = level.condition.functional
             fast = kernel_sagbi(below, functional)
             assert fast.gens == kernel_by_raw_products(below, functional).gens, (label, index)
-            assert fast._parent[0] is below
             below = level.basis
