@@ -16,6 +16,7 @@ the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -413,7 +414,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process.
+
+    ``parse_args`` keeps no state between calls, so every in-process
+    ``main`` call can share one parser.
+    """
     parser = _Parser(prog="subalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

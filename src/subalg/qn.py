@@ -35,7 +35,7 @@ from .functionals import (
     ConditionKind,
     LinearFunctional,
     character_difference,
-    check_leibniz,
+    leibniz_on_jets,
 )
 from .jets import JetSpace
 from .linalg import Echelon, SparseRow, integral
@@ -440,11 +440,28 @@ def verify_d_of_q(
     expected = len(pts) * (count_monomials_up_to(n, top) - count_monomials_up_to(n, level - 1))
     cot = cotangent_dimension(flt, point, spec=sp)
 
-    span = truncated_algebra_basis(flt.final_basis, report, top + report.conductor)
-    jets = JetSpace(pts, max([top] + [f.max_order for f in space.basis]), n)
+    cap = max([top] + [f.max_order for f in space.basis])
+    jets = JetSpace(pts, cap, n)
+    basis = flt.final_basis
     shifted_span = Echelon()
-    for f in span:
+
+    def add_shifted(f: Poly) -> None:
         shifted_span.add(jets.jet(f - Poly.constant(n, f.evaluate(point))))
+
+    degree = top + report.conductor
+    for f in truncated_algebra_basis(basis, report, degree):
+        add_shifted(f)
+    # The algebra holds the jet map's kernel, every product over the points
+    # of (cap + 1)-th powers of shifted variables, so its shifted jets have
+    # rank dim - codim - 1.  Degree len(pts)·(cap + 1) − 1 separates jets of
+    # order cap at the points, so the span is raised until it reaches that
+    # rank, at most to that degree.  Every monomial above the conductor
+    # is a head.
+    separating = len(pts) * (cap + 1) - 1
+    while shifted_span.rank < jets.dim - report.codim - 1 and degree < separating:
+        degree += 1
+        for mono in sorted(monomials_of_degree(n, degree), key=basis.order.key):
+            add_shifted(basis.canonical_element(mono))
     shifted = list(shifted_span.pivot_rows.values())
     square = Echelon()
     for i, u in enumerate(shifted):
@@ -599,8 +616,15 @@ def verify_main_theorem(
     of them in the algebra (the containment ∩ m_p^k ⊂ A that caps
     ``derivation_space``; it implies every higher level), the
     candidate-ansatz derivation dimension must equal the independent
-    cotangent count, and ``check_leibniz`` must pass for every computed
-    basis derivation on fresh random pairs of members.
+    cotangent count, and the Leibniz rule must hold for every computed
+    basis derivation on ten random pairs of members each.
+
+    A random member is a small integer combination of 1 and canonical
+    elements (``random.Random(7)``).  Its jet is the same combination of
+    their jets, so those are taken once, in one jet space over the point
+    and the basis's points, and cleared of denominators together: the
+    Leibniz defect is bilinear and homogeneous, so the scaled jets give
+    the verdict of the members themselves.
     """
     n = flt.n
     point = as_point(alpha, n)
@@ -637,29 +661,44 @@ def verify_main_theorem(
         )
     )
 
-    max_order = max((f.max_order for f in space.basis), default=1)
-    span = truncated_algebra_basis(
-        flt.final_basis, report, report.conductor + max_order
-    )
-    rng = random.Random(7)
-    draws = [
-        (functional, _random_member(rng, span, n), _random_member(rng, span, n))
-        for functional in space.basis
-        for _ in range(10)
-    ]
-    bad_pairs = sum(not check_leibniz(d, point, point, [f, g]) for d, f, g in draws)
+    bad_pairs = 0
+    if space.basis:
+        max_order = max(f.max_order for f in space.basis)
+        span = truncated_algebra_basis(
+            flt.final_basis, report, report.conductor + max_order
+        )
+        points = {point}.union(*(f.points() for f in space.basis))
+        jets = JetSpace(sorted(points), max_order, n)
+        table = [jets.jet(f) for f in [Poly.constant(n, 1), *span]]
+        scale = lcm(1, *(v.denominator for row in table for v in row.values()))
+        one, *rows = [{c: int(v * scale) for c, v in row.items()} for row in table]
+        rng = random.Random(7)
+        for functional in space.basis:
+            for _ in range(10):
+                pair = [_random_combination(rng, one, rows) for _ in range(2)]
+                bad_pairs += not leibniz_on_jets(jets, functional, point, point, pair)
     items.append(
         CheckItem(
             "leibniz_random_pairs",
             bad_pairs == 0,
-            {"pairs": len(draws), "failed": bad_pairs},
+            {"pairs": 10 * len(space.basis), "failed": bad_pairs},
         )
     )
     return Report(tuple(items))
 
 
-def _random_member(rng: random.Random, span: Sequence[Poly], n: int) -> Poly:
-    out = Poly.constant(n, rng.randint(-2, 2))
-    for element in rng.sample(span, k=min(3, len(span))):
-        out = out + rng.randint(-3, 3) * element
-    return out
+def _random_combination(
+    rng: random.Random, one: SparseRow, rows: Sequence[SparseRow]
+) -> SparseRow:
+    """c·one plus up to three random rows with random weights, all small.
+
+    ``rng`` is read in a fixed order, c, then the sample, then one weight
+    per sampled row, so a seed fixes the draws.
+    """
+    constant = rng.randint(-2, 2)
+    out = {c: constant * v for c, v in one.items()}
+    for i in rng.sample(range(len(rows)), k=min(3, len(rows))):
+        weight = rng.randint(-3, 3)
+        for c, v in rows[i].items():
+            out[c] = out.get(c, 0) + weight * v
+    return {c: v for c, v in out.items() if v}

@@ -33,12 +33,11 @@ on the whole level, so no spanning set of polynomials is built for it.
 
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, lt, sub
+from operator import add, le, lt, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -356,25 +355,20 @@ def _pivot(basis: SagbiBasis, functional: LinearFunctional) -> tuple[int, Fracti
     raise NotAProperCondition("functional vanishes on every generator of the algebra")
 
 
-def _proper_divisors(mono: Monomial) -> Iterable[Monomial]:
-    """Every a <= mono componentwise other than 0 and mono itself."""
-    for a in itertools.product(*(range(k + 1) for k in mono)):
-        if any(a) and a != mono:
-            yield a
-
-
 def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
     """Minimal basis of the kernel of a valid condition inside the algebra.
 
     With g_j the first generator where L is nonzero and d its head, the
-    kernel's semigroup S' is S without d.  Its minimal generators have the
-    heads of ``kernel_sagbi_raw`` that are irreducible in S', read off
-    the basis's semigroup by a divisor scan.  For such a head m, with
-    c_m the basis's canonical element, c_m - (L(c_m)/L(g_j))·g_j lies in
-    the kernel, and both tails lie in the missing set, so its tail
-    avoids S': it is the kernel's canonical element with head m.  No
-    product is formed, and L meets only elements of at most codim + 1
-    terms.
+    kernel's semigroup S' is S without d.  Its minimal generators are
+    among the heads of ``kernel_sagbi_raw``: the other generators' heads,
+    which stay minimal in the smaller S', and the new candidates d + g
+    and 3d.  Taken in term order, a candidate m is reducible in S'
+    exactly when some head g already kept divides it with m - g in S',
+    one semigroup lookup per kept head.  For a minimal head m, with c_m
+    the basis's canonical element, c_m - (L(c_m)/L(g_j))·g_j lies in the
+    kernel, and both tails lie in the missing set, so its tail avoids
+    S': it is the kernel's canonical element with head m.  No product is
+    formed, and L meets only elements of at most codim + 1 terms.
     """
     j, value = _pivot(basis, functional)
     degrees = basis.degrees()
@@ -383,20 +377,22 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
     # ones before j.
     gj = basis.gens[j]
     vanishing = set(degrees[:j])
-    heads = {m for i, m in enumerate(degrees) if i != j}
-    heads.update(tuple(map(add, m, d)) for m in degrees)
+    minimal = {m for i, m in enumerate(degrees) if i != j}
+    heads = minimal | {tuple(map(add, m, d)) for m in degrees}
     heads.add(tuple(3 * k for k in d))
 
     def in_kernel_semigroup(a: Monomial) -> bool:
         return a != d and basis.contains_monomial(a)
 
+    kept: list[Monomial] = []
     gens: list[Poly] = []
     for m in sorted(heads, key=basis.order.key):
-        if any(
-            in_kernel_semigroup(a) and in_kernel_semigroup(tuple(map(sub, m, a)))
-            for a in _proper_divisors(m)
+        if m not in minimal and any(
+            all(map(le, g, m)) and in_kernel_semigroup(tuple(map(sub, m, g)))
+            for g in kept
         ):
             continue
+        kept.append(m)
         cm = basis.canonical_element(m)
         coeff = 0 if m in vanishing else functional.apply(cm)
         if coeff:

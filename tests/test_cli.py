@@ -109,12 +109,37 @@ def test_qn_subcommand(capsys):
     assert out.count(": pass") == 8
 
 
+def golden_argv(task) -> list[str]:
+    return [str(SESSIONS.parent / a) if a.startswith("sessions/") else a for a in task["argv"]]
+
+
 @pytest.mark.parametrize("task", VERIFY_GOLDEN, ids=lambda g: " ".join(g["argv"]))
 def test_benchmark_verify_goldens_replay(capsys, task):
-    argv = [str(SESSIONS.parent / a) if a.startswith("sessions/") else a for a in task["argv"]]
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *golden_argv(task))
     assert code == task["code"]
     assert out == task["stdout"]
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # Parse errors leave nothing behind in the shared parser.
+    progs = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    assert run(capsys, "frobnicate", A1)[0] == 1
+    assert run(capsys, "codim", A1, "--order", "bogus")[0] == 1
+    for _ in range(2):
+        for task in VERIFY_GOLDEN:
+            code, out, _ = run(capsys, *golden_argv(task))
+            assert (code, out) == (task["code"], task["stdout"]), task["argv"]
+    # One root parser and one per subcommand, each built once.
+    assert progs.count("subalg") == 1
+    assert len(progs) == 1 + len(cli._COMMANDS)
 
 
 def test_qn_builds_its_filtration_once(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -51,6 +52,7 @@ from subalg.functionals import (
     character_difference,
     check_leibniz,
     express_in_span,
+    leibniz_on_jets,
 )
 
 F = Fraction
@@ -575,6 +577,19 @@ def test_derivation_reports_on_single_points():
         verify_d_of_q([(0,)], 2, (5,))
 
 
+def separating_degree(pts, level, space, report):
+    """A span degree at which both oracles below are conclusive.
+
+    With r the larger of 2·level − 1 and the derivation basis's order,
+    polynomials of degree len(pts)·(r + 1) − 1 take every jet of order r
+    at the points (Hermite interpolation along a linear form that takes
+    distinct values at them).  The algebra holds the jet map's kernel, so its elements
+    of that degree have all of its jets.
+    """
+    cap = max([2 * level - 1] + [f.max_order for f in space.basis])
+    return max(2 * level - 1 + report.conductor, len(pts) * (cap + 1) - 1)
+
+
 def verify_d_of_q_per_functional(points, level, alpha, order=DEGREVLEX):
     """The per-functional route: one check_leibniz per expected partial,
     then one express_in_span per basis element, over the same span."""
@@ -603,7 +618,7 @@ def verify_d_of_q_per_functional(points, level, alpha, order=DEGREVLEX):
         ),
     ]
     span = truncated_algebra_basis(
-        flt.final_basis, report, 2 * level - 1 + report.conductor
+        flt.final_basis, report, separating_degree(pts, level, space, report)
     )
     expected_partials = [
         (pt, partials)
@@ -654,7 +669,9 @@ def verify_d_of_q_all_pairs(points, level, alpha, order=DEGREVLEX):
     report = flt.final_report
     space = derivation_space(flt, point)
     top = 2 * level - 1
-    span = truncated_algebra_basis(flt.final_basis, report, top + report.conductor)
+    span = truncated_algebra_basis(
+        flt.final_basis, report, separating_degree(pts, level, space, report)
+    )
     jets = JetSpace(pts, max([top] + [f.max_order for f in space.basis]), n)
     shifted = [jets.jet(f - Poly.constant(n, f.evaluate(point))) for f in span]
     square = Echelon()
@@ -760,9 +777,9 @@ def test_derivation_report_below_the_level_matches(
         ([(0,), (1,)], 1, 4),
         ([(0,), (1,)], 2, 4),
         ([(0, 0), (0, 1)], 2, 22),
-        # The span stops at degree 2·level − 1 plus the conductor, too low
-        # to tell the extra partials apart from the expected ones here.
-        ([(0,), (1,), (2,)], 3, 0),
+        # The span must rise from degree 17 to 23 here to tell the order-6
+        # and order-7 partials apart from the expected ones.
+        ([(0,), (1,), (2,)], 3, 6),
         ([(0,)], 3, 2),
         ([(0, 0)], 2, 11),
     ],
@@ -850,6 +867,92 @@ def space_example():
         ],
         DEGREVLEX,
     )
+
+
+# -- the random-pair Leibniz check against its polynomial path --------
+
+
+def _random_member(rng, span, n):
+    """A random member as ``verify_main_theorem`` drew it before it read jets."""
+    out = Poly.constant(n, rng.randint(-2, 2))
+    for element in rng.sample(span, k=min(3, len(span))):
+        out = out + rng.randint(-3, 3) * element
+    return out
+
+
+def random_pairs_by_polynomials(flt, basis):
+    """The old path's draws: (derivation, f, g), ten per basis element."""
+    report = flt.final_report
+    max_order = max(f.max_order for f in basis)
+    span = truncated_algebra_basis(flt.final_basis, report, report.conductor + max_order)
+    rng = random.Random(7)
+    return [
+        (d, _random_member(rng, span, flt.n), _random_member(rng, span, flt.n))
+        for d in basis
+        for _ in range(10)
+    ]
+
+
+def random_pair_checks(monkeypatch, flt, point):
+    """``verify_main_theorem``'s random-pair item, and (space, jets, verdict) per draw."""
+    checks = []
+
+    def recorded(space, functional, alpha, beta, jets):
+        verdict = leibniz_on_jets(space, functional, alpha, beta, jets)
+        checks.append((space, jets, verdict))
+        return verdict
+
+    monkeypatch.setattr(subalg.qn, "leibniz_on_jets", recorded)
+    report = verify_main_theorem(flt, point)
+    (item,) = [item for item in report.items if item.check == "leibniz_random_pairs"]
+    return item, checks
+
+
+def assert_matches_polynomial_path(checks, draws, point):
+    """Same verdict per draw, and jets one common positive multiple of the members'."""
+    assert [verdict for _, _, verdict in checks] == [
+        check_leibniz(d, point, point, [f, g]) for d, f, g in draws
+    ]
+    ratios = set()
+    for (space, jets, _), (_, f, g) in zip(checks, draws, strict=True):
+        for jet, member in zip(jets, (f, g), strict=True):
+            exact = space.jet(member)
+            assert jet.keys() == exact.keys()
+            ratios.update(F(value) / exact[c] for c, value in jet.items())
+    (ratio,) = ratios
+    assert ratio > 0
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_random_pairs_match_polynomial_path(monkeypatch, name):
+    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    for point in spectrum(flt).points:
+        item, checks = random_pair_checks(monkeypatch, flt, point)
+        draws = random_pairs_by_polynomials(flt, derivation_space(flt, point).basis)
+        assert_matches_polynomial_path(checks, draws, point)
+        assert item.details == {"pairs": len(draws), "failed": 0}
+        assert item.passed
+
+
+@pytest.mark.parametrize("name", ["a2", "a4"])
+def test_random_pairs_catch_a_second_order_term(monkeypatch, name):
+    # On a2 and a4 the second partial in x1 at a spectrum point is no
+    # derivation, so adding it to the first basis element breaks the rule.
+    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+
+    def mutated(f, alpha, spec=None):
+        space = derivation_space(f, alpha, spec=spec)
+        second = LinearFunctional.partial_at(alpha, (2,) + (0,) * (f.n - 1))
+        return dataclasses.replace(space, basis=(space.basis[0] + second, *space.basis[1:]))
+
+    monkeypatch.setattr(subalg.qn, "derivation_space", mutated)
+    for point in spectrum(flt).points:
+        item, checks = random_pair_checks(monkeypatch, flt, point)
+        draws = random_pairs_by_polynomials(flt, mutated(flt, point).basis)
+        assert_matches_polynomial_path(checks, draws, point)
+        failed = [verdict for _, _, verdict in checks].count(False)
+        assert item.details == {"pairs": len(draws), "failed": failed}
+        assert failed > 0 and not item.passed
 
 
 # -- the product sweep as an oracle for the contracted one ------------

@@ -825,6 +825,17 @@ def test_kernel_step_matches_raw_product_oracle(seed=67, rounds=150):
     assert levels > 400
 
 
+@pytest.mark.parametrize("level", range(2, 9))
+def test_kernel_step_on_plane_points_matches_raw_product_oracle(level):
+    # Large levels, where a candidate head has many kept heads below it.
+    flt = qn_build(qn_spec([(0, 0), (0, 1)], level))
+    below = flt.base
+    for index, step in enumerate(flt.levels, start=1):
+        slow = kernel_by_raw_products(below, step.condition.functional)
+        assert slow.gens == step.basis.gens, index
+        below = step.basis
+
+
 def test_builds_form_no_raw_kernel_and_minimalize_once(monkeypatch, seed=67, rounds=150):
     def refuse(*args):
         raise AssertionError("a build formed the raw kernel generators")
