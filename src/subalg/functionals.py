@@ -236,10 +236,11 @@ def leibniz_on_jets(
 
     ``jets`` spans the jets in ``space`` of the algebra being tested, and
     ``space`` holds the functional's atoms, alpha and beta.  L(fg) is
-    read off the truncated jet product, exact up to the space's cap.  The
-    defect L(fg) - f(alpha) L(g) - g(beta) L(f) is bilinear in the jets
-    of f and g, so it is tested in both orders on the pairs of the basis
-    only: at most r(r+1)/2 products for jet rank r.
+    exact up to the space's cap, and it is read without forming fg: one
+    adjoint covector g -> L(fg) per basis jet f, paired with the jets.
+    The defect L(fg) - f(alpha) L(g) - g(beta) L(f) is bilinear in the
+    jets of f and g, so it is tested in both orders on the pairs of the
+    basis only: r adjoints and r(r+1)/2 pairings for jet rank r.
     """
     # The defect is linear in L and bilinear in the jets, so integer
     # multiples of both decide it.
@@ -250,8 +251,9 @@ def leibniz_on_jets(
     at_alpha = [space.pair(ev_a, u) for u in jets]
     at_beta = [space.pair(ev_b, u) for u in jets]
     for i, u in enumerate(jets):
+        adjoint = space.adjoint(covector, u)
         for j in range(i, len(jets)):
-            product = space.pair(covector, space.product(u, jets[j]))
+            product = space.pair(adjoint, jets[j])
             if product != at_alpha[i] * values[j] + at_beta[j] * values[i]:
                 return False
             if product != at_alpha[j] * values[i] + at_beta[i] * values[j]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
+from operator import add
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import JetSpaceTooLarge
 from .linalg import SparseRow
@@ -40,9 +41,10 @@ if TYPE_CHECKING:
 
 # Most coordinates a jet space may have.  Condition orders set the caps:
 # a build validates in one space over every condition point at the largest
-# order, derivation and cotangent spaces take twice it plus one.  The derivation ansatz multiplies its ideal jets pairwise, so
-# its cost grows with the square of the size.  Larger spaces are refused
-# before any work starts.
+# order, derivation and cotangent spaces take twice it plus one.  Those two
+# multiply ideal jets pairwise, but only the pairs whose lowest orders at
+# some point sum within the cap, so an ideal that starts above half the cap
+# forms no product at all.  Larger spaces are refused before any work starts.
 MAX_JET_DIM = 22_000
 
 
@@ -67,7 +69,10 @@ def _binomial_product(a: Monomial, b: Monomial) -> int:
 class JetSpace:
     """Derivative coordinates d^a f(p), |a| <= cap, over an ordered point list."""
 
-    __slots__ = ("n", "points", "cap", "coords", "_index", "_partials", "_int_points", "_conv")
+    __slots__ = (
+        "n", "points", "cap", "coords", "_index", "_partials", "_orders", "_ends",
+        "_int_points", "_conv", "_diff",
+    )
 
     def __init__(self, points, cap: int, n: int):
         self.n = n
@@ -83,14 +88,19 @@ class JetSpace:
         self.cap = cap
         partials = sorted(monomials_up_to(n, cap), key=lambda m: (sum(m), m))
         self._partials = partials
+        self._orders = tuple(sum(a) for a in partials)
+        # _ends[k]: how many partials have order <= k, the first ones listed.
+        self._ends = tuple(comb(n + k, n) for k in range(cap + 1))
         self.coords: tuple[tuple[int, Monomial], ...] = tuple(
             (pi, a) for pi in range(len(self.points)) for a in partials
         )
         self._index = {c: i for i, c in enumerate(self.coords)}
         self._int_points = tuple(tuple(map(_as_int, p)) for p in self.points)
         # i * len(partials) + j -> (index of a_i + a_j, binomial weight),
-        # or None above the cap; filled as products meet the pairs.
-        self._conv: dict[int, tuple[int, int] | None] = {}
+        # filled as products meet the pairs; _diff likewise for a_j - a_i,
+        # or None unless a_i <= a_j, as adjoints meet them.
+        self._conv: dict[int, tuple[int, int]] = {}
+        self._diff: dict[int, tuple[int, int] | None] = {}
 
     @property
     def dim(self) -> int:
@@ -130,14 +140,35 @@ class JetSpace:
                     out[self._index[(pi, a)]] = value
         return out
 
+    def lowest_orders(self, u: SparseRow) -> tuple[int, ...]:
+        """Per base point, the least derivative order among u's coordinates there.
+
+        At each point a product's coordinates have order at least the sum
+        of its factors' lowest orders there, so two rows whose lowest
+        orders sum above the cap at every point have a truncated product
+        of 0.  A point where ``u`` has no coordinate reads cap + 1.
+        """
+        size, orders = len(self._partials), self._orders
+        out = [self.cap + 1] * len(self.points)
+        for c in u:
+            pi, i = divmod(c, size)
+            if orders[i] < out[pi]:
+                out[pi] = orders[i]
+        return tuple(out)
+
     def product(self, u: SparseRow, v: SparseRow) -> SparseRow:
-        """Jet of a product from jets of the factors (per-point convolution)."""
-        size = len(self._partials)
-        by_point_u: dict[int, list[tuple[int, Fraction]]] = {}
+        """Jet of a product from jets of the factors (per-point convolution).
+
+        Partials are indexed by order, so each point's right-hand entries
+        are walked in index order and the walk stops where the two orders
+        sum above the cap.
+        """
+        size, orders, ends, cap = len(self._partials), self._orders, self._ends, self.cap
+        by_point_u: dict[int, list[tuple[int, int | Fraction]]] = {}
         for c, val in u.items():
             pi, i = divmod(c, size)
-            by_point_u.setdefault(pi, []).append((i * size, val))
-        by_point_v: dict[int, list[tuple[int, Fraction]]] = {}
+            by_point_u.setdefault(pi, []).append((i, val))
+        by_point_v: dict[int, list[tuple[int, int | Fraction]]] = {}
         for c, val in v.items():
             pi, j = divmod(c, size)
             by_point_v.setdefault(pi, []).append((j, val))
@@ -147,28 +178,78 @@ class JetSpace:
             right = by_point_v.get(pi)
             if right is None:
                 continue
+            right.sort()
             base = pi * size
-            for row, av in left:
+            for i, av in left:
+                row, stop = i * size, ends[cap - orders[i]]
                 for j, bv in right:
+                    if j >= stop:
+                        break
                     key = row + j
                     try:
-                        hit = conv[key]
+                        k, weight = conv[key]
                     except KeyError:
-                        hit = conv[key] = self._convolution(*divmod(key, size))
-                    if hit is None:
-                        continue
-                    k, weight = hit
+                        k, weight = conv[key] = self._convolution(i, j)
                     c = base + k
                     out[c] = out.get(c, 0) + weight * av * bv
         return {c: value for c, value in out.items() if value}
 
-    def _convolution(self, i: int, j: int) -> tuple[int, int] | None:
-        """(index of a_i + a_j, its binomial weight), or None above the cap."""
+    def pair_products(self, rows: Sequence[SparseRow]) -> Iterator[SparseRow]:
+        """product(rows[i], rows[j]) for i <= j, skipping the pairs whose
+        lowest orders sum above the cap at every point: those products are 0."""
+        cap = self.cap
+        lows = [self.lowest_orders(u) for u in rows]
+        least = [min(low) for low in lows]  # a cheap first test
+        for i, u in enumerate(rows):
+            room = cap - least[i]
+            for j in range(i, len(rows)):
+                if least[j] <= room and min(map(add, lows[i], lows[j])) <= cap:
+                    yield self.product(u, rows[j])
+
+    def _convolution(self, i: int, j: int) -> tuple[int, int]:
+        """(index of a_i + a_j, its binomial weight), for |a_i| + |a_j| <= cap."""
         a, b = self._partials[i], self._partials[j]
-        s = tuple(x + y for x, y in zip(a, b))
-        if sum(s) > self.cap:
+        return self._index[(0, tuple(x + y for x, y in zip(a, b)))], _binomial_product(a, b)
+
+    def adjoint(self, covector: SparseRow, u: SparseRow) -> SparseRow:
+        """The covector of v -> pair(covector, product(u, v)), without a product.
+
+        At each point, l(u·v) = sum_k l_k sum_{a_i + a_j = a_k}
+        C(a_i + a_j, a_j) u_i v_j, so v_j's coefficient gathers one term
+        per entry k of the covector and entry i of u at the same point
+        with a_i <= a_k: |u|·|covector| terms at most.
+        """
+        size = len(self._partials)
+        by_point: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for c, val in covector.items():
+            pi, k = divmod(c, size)
+            by_point.setdefault(pi, []).append((k, val))
+        diff = self._diff
+        out: SparseRow = {}
+        for c, uv in u.items():
+            pi, i = divmod(c, size)
+            entries = by_point.get(pi)
+            if entries is None:
+                continue
+            base, row = pi * size, i * size
+            for k, lv in entries:
+                key = row + k
+                try:
+                    hit = diff[key]
+                except KeyError:
+                    hit = diff[key] = self._difference(i, k)
+                if hit is not None:
+                    j, weight = hit
+                    out[base + j] = out.get(base + j, 0) + weight * lv * uv
+        return {c: value for c, value in out.items() if value}
+
+    def _difference(self, i: int, k: int) -> tuple[int, int] | None:
+        """(index of a_k - a_i, the weight of a_i times it), or None unless a_i <= a_k."""
+        a, s = self._partials[i], self._partials[k]
+        if any(x > y for x, y in zip(a, s)):
             return None
-        return self._index[(0, s)], _binomial_product(a, b)
+        b = tuple(y - x for x, y in zip(a, s))
+        return self._index[(0, b)], _binomial_product(a, b)
 
     def functional_covector(self, functional: LinearFunctional) -> SparseRow:
         """The functional as a row over jet coordinates.

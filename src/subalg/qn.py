@@ -464,12 +464,21 @@ def verify_d_of_q(
             add_shifted(basis.canonical_element(mono))
     shifted = list(shifted_span.pivot_rows.values())
     square = Echelon()
+    for product in jets.pair_products(shifted):
+        square.add(product)
+
+    # The shifted jets by coordinate, so a covector meets only the rows it touches.
+    columns: dict[int, list[tuple[int, int]]] = {}
     for i, u in enumerate(shifted):
-        for v in shifted[i:]:
-            square.add(jets.product(u, v))
+        for c, x in u.items():
+            columns.setdefault(c, []).append((i, x))
 
     def values(covector: SparseRow) -> SparseRow:
-        return {i: jets.pair(covector, u) for i, u in enumerate(shifted)}
+        out: SparseRow = {}
+        for c, w in covector.items():
+            for i, x in columns.get(c, ()):
+                out[i] = out.get(i, 0) + w * x
+        return out
 
     expected_partials = [
         (pt, partials)

@@ -122,10 +122,25 @@ class SagbiBasis:
     __slots__ = ("n", "order", "gens", "_degrees", "_witness_memo", "_canon", "_holes")
 
     def __init__(self, n: int, order: TermOrder, gens: Sequence[Poly]):
+        gens = tuple(gens)
+        self._start(n, order, gens, tuple(g.leading_monomial(order) for g in gens))
+
+    @classmethod
+    def _with_heads(
+        cls, n: int, order: TermOrder, gens: Sequence[Poly], heads: Sequence[Monomial]
+    ) -> SagbiBasis:
+        """A basis whose caller already holds each generator's leading monomial."""
+        basis = cls.__new__(cls)
+        basis._start(n, order, tuple(gens), tuple(heads))
+        return basis
+
+    def _start(
+        self, n: int, order: TermOrder, gens: tuple[Poly, ...], heads: tuple[Monomial, ...]
+    ) -> None:
         self.n = n
         self.order = order
-        self.gens = tuple(gens)
-        self._degrees = tuple(g.leading_monomial(order) for g in self.gens)
+        self.gens = gens
+        self._degrees = heads
         if len(set(self._degrees)) != len(self._degrees):
             raise ValueError("generators must have pairwise distinct leading monomials")
         self._witness_memo: dict[Monomial, tuple[int, ...] | None] = {}
@@ -400,9 +415,10 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
             _subtract(terms, Fraction(coeff, value), gj)
             cm = Poly(basis.n, terms)
         gens.append(cm)
-    kernel = SagbiBasis(basis.n, basis.order, gens)
+    # Only heads above d get a multiple of g_j subtracted, so m stays the head.
+    kernel = SagbiBasis._with_heads(basis.n, basis.order, gens, kept)
     # Each generator is the kernel's canonical element of its head.
-    kernel._canon.update(zip(kernel.degrees(), gens))
+    kernel._canon.update(zip(kept, gens))
     return kernel
 
 

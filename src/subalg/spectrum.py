@@ -18,11 +18,17 @@ of the conditions: it closes the shifted generator jets under products
 with themselves, certifies the rank of that maximal ideal, and reads
 its square off the products formed.  The two dimensions must agree,
 and the test suites check that they do.
+
+Both routes skip a pair of jets whose lowest derivative orders sum
+above the cap at every point: its truncated product is 0.  Where m holds
+only jets of order k or more, as on a point-set algebra, neither forms
+a product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import InvariantError
 from .functionals import LinearFunctional
@@ -157,10 +163,8 @@ def derivation_space(
 
     # Span of jets of m·m, seen through the candidate coordinates only.
     square_span = Echelon()
-    for i, u in enumerate(ideal_jets):
-        for v in ideal_jets[i:]:
-            product = space.product(u, v)
-            square_span.add({slot_of[c]: x for c, x in product.items() if c in slot_of})
+    for product in space.pair_products(ideal_jets):
+        square_span.add({slot_of[c]: x for c, x in product.items() if c in slot_of})
 
     square_rows = list(square_span.pivot_rows.values())
     annihilator = kernel_basis(square_rows, len(candidates))
@@ -236,6 +240,8 @@ def cotangent_dimension(
 
     gens = flt.final_basis.gens
     shifted = [integral(space.jet(g - Poly.constant(n, g.evaluate(point)))) for g in gens]
+    lows = [space.lowest_orders(s) for s in shifted]
+    least = [min(low) for low in lows]
     ideal_span = Echelon()
     square_span = Echelon()
     frontier = list(shifted)
@@ -243,7 +249,12 @@ def cotangent_dimension(
         row = ideal_span.add(frontier.pop())
         if row is None:
             continue
-        for s in shifted:
+        row_lows = space.lowest_orders(row)
+        room = space.cap - min(row_lows)
+        for s, low, s_least in zip(shifted, lows, least):
+            # As in JetSpace.pair_products: the truncated product is 0.
+            if s_least > room or min(map(add, row_lows, low)) > space.cap:
+                continue
             product = space.product(row, s)
             square_span.add(product)
             frontier.append(product)

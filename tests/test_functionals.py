@@ -4,21 +4,26 @@ from pathlib import Path
 
 import pytest
 
+import subalg.sagbi
 from subalg.cli import Session
-from subalg.errors import DegenerateCondition, DimensionMismatch
+from subalg.errors import DegenerateCondition, DimensionMismatch, InvalidFiltration
 from subalg.functionals import (
+    Condition,
     ConditionKind,
     DerivativeAtom,
     LinearFunctional,
     character_difference,
     check_leibniz,
     express_in_span,
+    leibniz_on_jets,
 )
 from subalg.jets import JetSpace
 from subalg.linalg import Echelon
-from subalg.poly import Poly, as_point, parse_poly
+from subalg.poly import DEGREVLEX, Poly, TermOrder, as_point, parse_poly
 from subalg.qn import qn_build, qn_spec
-from subalg.sagbi import CodimReport, truncated_algebra_basis
+from subalg.sagbi import CodimReport, build_from_conditions, truncated_algebra_basis
+from test_properties import random_conditions
+from test_qn import LADDER_RUNGS
 
 F = Fraction
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
@@ -322,30 +327,37 @@ def jet_rank(functional, alpha, beta, span):
     return jets.rank
 
 
-def test_check_leibniz_pairs_only_a_basis_of_the_jets(monkeypatch):
-    # The defect is bilinear in the jets, so one check forms at most
-    # r(r+1)/2 products for jet rank r, however long the span.
-    products = []
-    product = JetSpace.product
+def count_calls(monkeypatch, owner, name, calls):
+    """Wrap ``owner.name`` so that each call bumps ``calls[name]``."""
+    method = getattr(owner, name)
 
-    def counted(self, u, v):
-        products.append(None)
-        return product(self, u, v)
+    def counted(*args):
+        calls[name] += 1
+        return method(*args)
 
-    monkeypatch.setattr(JetSpace, "product", counted)
-    levels = formed = span_pairs = 0
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_check_leibniz_forms_no_product_and_an_adjoint_per_jet(monkeypatch):
+    # The defect is bilinear in the jets, so one check reads L(fg) off one
+    # adjoint covector per basis jet f: at most r adjoints for jet rank r,
+    # however long the span, and no jet product at all.
+    calls = {"product": 0, "adjoint": 0}
+    for name in calls:
+        count_calls(monkeypatch, JetSpace, name, calls)
+    levels = adjoints = 0
     for flt in filtrations():
         for condition, span in level_spans(flt):
             functional, kind = condition.functional, condition.kind
             r = jet_rank(functional, kind.alpha, kind.beta, span)
-            products.clear()
+            calls.update(product=0, adjoint=0)
             assert check_leibniz(functional, kind.alpha, kind.beta, span)
-            assert len(products) <= r * (r + 1) // 2
+            assert calls["product"] == 0
+            assert calls["adjoint"] <= r
             levels += 1
-            formed += len(products)
-            span_pairs += len(span) * (len(span) + 1) // 2
+            adjoints += calls["adjoint"]
     assert levels == 2 + 1 + 2 + 3 + 5 + 8
-    assert 0 < formed < span_pairs
+    assert adjoints > 0
 
 
 def test_check_leibniz_tests_both_orders_of_a_pair():
@@ -356,3 +368,82 @@ def test_check_leibniz_tests_both_orders_of_a_pair():
     assert not agree(functional, (0,), (1,), [f, g])
     assert not agree(functional, (0,), (1,), [g, f])
     assert agree(functional, (0,), (1,), [f])
+
+
+# -- the jet-product pair loop as an oracle for the adjoint one -------
+
+
+def leibniz_on_jets_by_products(space, functional, alpha, beta, jets):
+    """``leibniz_on_jets`` by jet products: L applied to u·v for every
+    pair of basis jets, in both orders."""
+    covector = space.functional_covector(functional)
+    jets = list(jets)
+    ev_a, ev_b = space.evaluation_covector(alpha), space.evaluation_covector(beta)
+    values = [space.pair(covector, u) for u in jets]
+    at_alpha = [space.pair(ev_a, u) for u in jets]
+    at_beta = [space.pair(ev_b, u) for u in jets]
+    for i, u in enumerate(jets):
+        for j in range(i, len(jets)):
+            product = space.pair(covector, space.product(u, jets[j]))
+            if product != at_alpha[i] * values[j] + at_beta[j] * values[i]:
+                return False
+            if product != at_alpha[j] * values[i] + at_beta[i] * values[j]:
+                return False
+    return True
+
+
+def compare_build_verdicts(monkeypatch):
+    """Make every build decide each level on both paths; returns the verdicts."""
+    verdicts = []
+
+    def both(space, functional, alpha, beta, jets):
+        jets = list(jets)
+        verdict = leibniz_on_jets(space, functional, alpha, beta, jets)
+        assert verdict == leibniz_on_jets_by_products(space, functional, alpha, beta, jets)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(subalg.sagbi, "leibniz_on_jets", both)
+    return verdicts
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
+def test_build_levels_match_the_product_path(monkeypatch, order):
+    verdicts = compare_build_verdicts(monkeypatch)
+    for name in ("a1", "a2", "a3", "a4"):
+        Session.load(str(SESSIONS / f"{name}.json"), order_override=order).build()
+    assert len(verdicts) == 2 + 1 + 2 + 3
+    for points, level in LADDER_RUNGS:
+        qn_build(qn_spec(points, level), TermOrder(order))
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 2)
+        build_from_conditions(n, random_conditions(rng, n), TermOrder(order))
+    assert all(verdicts)
+    assert len(verdicts) > 8 + 30
+
+
+def test_broken_conditions_are_refused_by_both_paths(monkeypatch):
+    verdicts = compare_build_verdicts(monkeypatch)
+    refused = 0
+    for name in ("a1", "a2", "a3", "a4"):
+        session = Session.load(str(SESSIONS / f"{name}.json"))
+        for index, condition in enumerate(session.conditions, start=1):
+            # L(1) = 0 on every derivation and character difference, so
+            # adding an evaluation at alpha breaks L(1·1) = L(1) + L(1).
+            kind = condition.kind
+            broken = Condition(condition.functional + LinearFunctional.evaluation(kind.alpha), kind)
+            chain = [*session.conditions[: index - 1], broken]
+            verdicts.clear()
+            with pytest.raises(InvalidFiltration, match="Leibniz") as info:
+                build_from_conditions(session.n, chain, session.order)
+            assert info.value.level == index
+            assert verdicts == [True] * (index - 1) + [False]
+            refused += 1
+    assert refused == 2 + 1 + 2 + 3
+    # f -> f(1) - f(0) is a character difference, not a derivation at 1.
+    verdicts.clear()
+    shifted = Condition(character_difference((1,), (0,)), ConditionKind.derivation((1,)))
+    with pytest.raises(InvalidFiltration, match="Leibniz"):
+        build_from_conditions(1, [shifted], DEGREVLEX)
+    assert verdicts == [False]

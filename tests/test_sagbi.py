@@ -1114,3 +1114,15 @@ def test_kernel_step_on_certified_levels_matches_raw_product_oracle():
             fast = kernel_sagbi(below, functional)
             assert fast.gens == kernel_by_raw_products(below, functional).gens, (label, index)
             below = level.basis
+
+
+def test_kernel_heads_are_the_generators_leading_monomials():
+    for label, flt in shadow_fixtures():
+        for index, level in enumerate(flt.levels, start=1):
+            basis = level.basis
+            assert basis.degrees() == cold(basis).degrees(), (label, index)
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    with pytest.raises(ValueError, match="distinct leading monomials"):
+        SagbiBasis._with_heads(2, DEGREVLEX, [x1, x2], [(1, 0), (1, 0)])
+    with pytest.raises(ValueError, match="distinct leading monomials"):
+        SagbiBasis(2, DEGREVLEX, [x1, x1])

@@ -1,6 +1,8 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -16,9 +18,9 @@ from subalg.functionals import (
     express_in_span,
 )
 from subalg.jets import MAX_JET_DIM, JetSpace
-from subalg.linalg import Echelon, kernel_basis
+from subalg.linalg import Echelon, integral, kernel_basis
 from subalg.poly import DEGREVLEX, Poly, as_point, parse_poly
-from subalg.qn import qn_build, qn_spec
+from subalg.qn import qn_build, qn_spec, verify_d_of_q
 from subalg.sagbi import build_from_conditions, truncated_algebra_basis
 from subalg.spectrum import (
     DerivationSpace,
@@ -142,6 +144,66 @@ def test_jet_product_matches_polynomial_product(seed=31, rounds=50):
         f = Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)): F(rng.randint(-3, 3)) for _ in range(3)})
         g = Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)): F(rng.randint(-3, 3)) for _ in range(3)})
         assert space.product(space.jet(f), space.jet(g)) == space.jet(f * g)
+
+
+def product_all_pairs(space, u, v):
+    """``JetSpace.product`` by every pair of entries at a point, the sums
+    above the cap dropped one by one."""
+    size = space.dim // len(space.points)
+    out = {}
+    for cu, av in u.items():
+        pi, i = divmod(cu, size)
+        a = space.coords[i][1]
+        for cv, bv in v.items():
+            pj, j = divmod(cv, size)
+            b = space.coords[j][1]
+            if pj != pi or sum(a) + sum(b) > space.cap:
+                continue
+            weight = prod(comb(x + y, y) for x, y in zip(a, b))
+            c = space.index(pi, tuple(x + y for x, y in zip(a, b)))
+            out[c] = out.get(c, 0) + weight * av * bv
+    return {c: value for c, value in out.items() if value}
+
+
+def random_sparse_jet(rng, space, rational):
+    """Up to eight random entries anywhere in ``space``, int or Fraction."""
+    out = {}
+    for c in rng.sample(range(space.dim), k=rng.randint(0, min(8, space.dim))):
+        value = F(rng.randint(-4, 4), rng.randint(1, 3)) if rational else rng.randint(-4, 4)
+        if value:
+            out[c] = value
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_adjoint_pairs_like_the_product(n, seed=61, rounds=120):
+    rng = random.Random(seed + n)
+    spread = 0
+    for _ in range(rounds):
+        pts = []
+        for _ in range(rng.randint(1, 3)):
+            p = tuple(rng.choice(COORDINATES) for _ in range(n))
+            if p not in pts:
+                pts.append(p)
+        space = JetSpace(pts, rng.randint(0, 4), n)
+        rational = rng.random() < 0.5
+        functional = LinearFunctional.zero(n)
+        for _ in range(rng.randint(1, 4)):
+            partials = tuple(rng.randint(0, space.cap) for _ in range(n))
+            if sum(partials) <= space.cap:
+                coeff = F(rng.randint(-3, 3), rng.randint(1, 2)) if rational else rng.randint(-3, 3)
+                functional = functional + LinearFunctional.partial_at(rng.choice(pts), partials, coeff)
+        spread += len(functional.points()) > 1
+        covector = space.functional_covector(functional)
+        if not rational:
+            covector = integral(covector)
+        u, v = random_sparse_jet(rng, space, rational), random_sparse_jet(rng, space, rational)
+        product = space.product(u, v)
+        assert product == product_all_pairs(space, u, v)
+        if min(map(add, space.lowest_orders(u), space.lowest_orders(v))) > space.cap:
+            assert product == {}
+        assert space.pair(space.adjoint(covector, u), v) == space.pair(covector, product)
+    assert spread > rounds // 10
 
 
 def test_jet_values_are_exact(seed=53, rounds=60):
@@ -654,3 +716,66 @@ def test_random_filtrations_match_doubling_cap_oracle(seed=107, rounds=40):
         for p in list(spectrum(flt).points) + [far]:
             want = derivation_space_by_transposed_kernel(flt, p)
             assert_same_space(flt, derivation_space(flt, p), want)
+
+
+# -- the pair loops without the order skip, as oracles ----------------
+
+
+@contextmanager
+def unpruned():
+    """Pair loops that form every product, each by all pairs of entries."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JetSpace, "lowest_orders", lambda self, u: (0,) * len(self.points))
+        patch.setattr(JetSpace, "product", product_all_pairs)
+        yield
+
+
+def spaces_and_dimensions(flt, point, spec):
+    return derivation_space(flt, point, spec=spec), cotangent_dimension(flt, point, spec=spec)
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_unpruned_pair_loops_agree_on_sessions(name):
+    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    spec = spectrum(flt)
+    outside = [(7,) * flt.n, (F(1, 2),) * flt.n]
+    assert not set(outside) & set(spec.points)
+    for p in [*spec.points, *outside]:
+        got = spaces_and_dimensions(flt, p, spec)
+        with unpruned():
+            assert spaces_and_dimensions(flt, p, spec) == got, p
+
+
+@pytest.mark.parametrize("level", range(2, 9))
+def test_unpruned_pair_loops_agree_on_two_plane_points(level):
+    points = [(0, 0), (0, 1)]
+    flt = qn_build(qn_spec(points, level))
+    spec = spectrum(flt)
+    got = spaces_and_dimensions(flt, points[1], spec), verify_d_of_q(points, level, points[0], flt=flt)
+    with unpruned():
+        want = (
+            spaces_and_dimensions(flt, points[1], spec),
+            verify_d_of_q(points, level, points[0], flt=flt),
+        )
+    assert got == want
+    assert got[1].passed
+
+
+def test_qn_pair_loops_form_no_product(monkeypatch):
+    # m = ∩ m_p^N holds only jets of order >= N, and the cap is 2N - 1.
+    points = [(0, 0), (0, 1)]
+    flt = qn_build(qn_spec(points, 4))
+    products = []
+    product = JetSpace.product
+
+    def counted(self, u, v):
+        products.append(None)
+        return product(self, u, v)
+
+    monkeypatch.setattr(JetSpace, "product", counted)
+    assert cotangent_dimension(flt, points[0]) == 52
+    assert verify_d_of_q(points, 4, points[0], flt=flt).passed
+    assert products == []
+    monkeypatch.setattr(JetSpace, "lowest_orders", lambda self, u: (0,) * len(self.points))
+    cotangent_dimension(flt, points[0])
+    assert products
