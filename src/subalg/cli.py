@@ -42,7 +42,7 @@ from .poly import (
     partials_from_indices,
 )
 from .qn import CheckItem, Report, point_set, qn_spec, qn_build, verify_d_of_q, verify_main_theorem, verify_qprime_eq_q
-from .sagbi import ConditionFiltration, build_from_conditions, subduce
+from .sagbi import CodimReport, ConditionFiltration, build_from_conditions, subduce
 from .spectrum import derivation_space, spectrum
 
 
@@ -260,6 +260,16 @@ def _emit(payload, as_json: bool, text: str):
 # -- subcommand bodies ------------------------------------------------
 
 
+def _codim_block(report: CodimReport) -> tuple[str, dict]:
+    """The codimension, missing monomials and conductor, as text and as JSON."""
+    missing = [format_poly(Poly.monomial(m)) for m in sorted(report.missing)]
+    text = (
+        f"codimension: {report.codim}\nmissing: {', '.join(missing) or 'none'}\n"
+        f"conductor: {report.conductor}"
+    )
+    return text, {"codimension": report.codim, "missing": missing, "conductor": report.conductor}
+
+
 def _cmd_build(session: Session, args) -> int:
     flt = session.build()
     lines = []
@@ -275,18 +285,8 @@ def _cmd_build(session: Session, args) -> int:
                 "codimension": level.report.codim,
             }
         )
-    report = flt.final_report
-    missing = [format_poly(Poly.monomial(m)) for m in sorted(report.missing)]
-    lines.append(f"codimension: {report.codim}")
-    lines.append("missing: " + (", ".join(missing) if missing else "none"))
-    lines.append(f"conductor: {report.conductor}")
-    payload = {
-        "levels": levels_json,
-        "codimension": report.codim,
-        "missing": missing,
-        "conductor": report.conductor,
-    }
-    _emit(payload, args.json, "\n".join(lines))
+    text, payload = _codim_block(flt.final_report)
+    _emit({"levels": levels_json, **payload}, args.json, "\n".join(lines + [text]))
     return 0
 
 
@@ -302,21 +302,7 @@ def _cmd_member(session: Session, args) -> int:
 
 
 def _cmd_codim(session: Session, args) -> int:
-    flt = session.build()
-    report = flt.final_report
-    missing = [format_poly(Poly.monomial(m)) for m in sorted(report.missing)]
-    text = "\n".join(
-        [
-            f"codimension: {report.codim}",
-            "missing: " + (", ".join(missing) if missing else "none"),
-            f"conductor: {report.conductor}",
-        ]
-    )
-    payload = {
-        "codimension": report.codim,
-        "missing": missing,
-        "conductor": report.conductor,
-    }
+    text, payload = _codim_block(session.build().final_report)
     _emit(payload, args.json, text)
     return 0
 

@@ -47,6 +47,9 @@ if TYPE_CHECKING:
 # forms no product at all.  Larger spaces are refused before any work starts.
 MAX_JET_DIM = 22_000
 
+# Per row, its lowest order at each point; and the least of those.
+OrderTable = tuple[list[tuple[int, ...]], list[int]]
+
 
 def _falling_powers(e: int, x: int | Fraction, cap: int) -> list[tuple[int, int | Fraction]]:
     """(k, d^k/dx^k of x^e at x) for k <= min(e, cap), nonzero values only."""
@@ -140,13 +143,30 @@ class JetSpace:
                     out[self._index[(pi, a)]] = value
         return out
 
+    def shifted_jet(self, f: Poly, point) -> SparseRow:
+        """jet(f − f(point)) for a base point, without forming the difference.
+
+        A constant's jet is its value at every point's order-0 coordinate,
+        the first of the point's coordinates.
+        """
+        out = self.jet(f)
+        size = len(self._partials)
+        value = out.get(self.point_index(point) * size, 0)
+        if value:
+            for c in range(0, self.dim, size):
+                shifted = out.get(c, 0) - value
+                if shifted:
+                    out[c] = shifted
+                else:
+                    del out[c]
+        return out
+
     def lowest_orders(self, u: SparseRow) -> tuple[int, ...]:
         """Per base point, the least derivative order among u's coordinates there.
 
         At each point a product's coordinates have order at least the sum
-        of its factors' lowest orders there, so two rows whose lowest
-        orders sum above the cap at every point have a truncated product
-        of 0.  A point where ``u`` has no coordinate reads cap + 1.
+        of its factors' lowest orders there (see ``partners``).  A point
+        where ``u`` has no coordinate reads cap + 1.
         """
         size, orders = len(self._partials), self._orders
         out = [self.cap + 1] * len(self.points)
@@ -155,6 +175,22 @@ class JetSpace:
             if orders[i] < out[pi]:
                 out[pi] = orders[i]
         return tuple(out)
+
+    def order_table(self, rows: Sequence[SparseRow]) -> OrderTable:
+        """Each row's ``lowest_orders``, and the least of them, for ``partners``."""
+        lows = [self.lowest_orders(u) for u in rows]
+        return lows, [min(low) for low in lows]
+
+    def partners(self, low: tuple[int, ...], table: OrderTable, start: int = 0) -> Iterator[int]:
+        """The j >= start where a row of lowest orders ``low`` and row j of
+        ``table`` can have a nonzero truncated product: their lowest orders
+        sum within the cap at some point.  The other pairs' products are 0."""
+        lows, least = table
+        cap = self.cap
+        room = cap - min(low)  # a cheap first test on the least orders
+        for j in range(start, len(lows)):
+            if least[j] <= room and min(map(add, low, lows[j])) <= cap:
+                yield j
 
     def product(self, u: SparseRow, v: SparseRow) -> SparseRow:
         """Jet of a product from jets of the factors (per-point convolution).
@@ -195,16 +231,11 @@ class JetSpace:
         return {c: value for c, value in out.items() if value}
 
     def pair_products(self, rows: Sequence[SparseRow]) -> Iterator[SparseRow]:
-        """product(rows[i], rows[j]) for i <= j, skipping the pairs whose
-        lowest orders sum above the cap at every point: those products are 0."""
-        cap = self.cap
-        lows = [self.lowest_orders(u) for u in rows]
-        least = [min(low) for low in lows]  # a cheap first test
+        """product(rows[i], rows[j]) for i <= j, over ``partners`` only."""
+        table = self.order_table(rows)
         for i, u in enumerate(rows):
-            room = cap - least[i]
-            for j in range(i, len(rows)):
-                if least[j] <= room and min(map(add, lows[i], lows[j])) <= cap:
-                    yield self.product(u, rows[j])
+            for j in self.partners(table[0][i], table, i):
+                yield self.product(u, rows[j])
 
     def _convolution(self, i: int, j: int) -> tuple[int, int]:
         """(index of a_i + a_j, its binomial weight), for |a_i| + |a_j| <= cap."""

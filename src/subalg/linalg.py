@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable
 
 SparseRow = dict[int, Fraction]
 
@@ -146,6 +147,26 @@ def kernel_basis(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     for f, vec in vectors.items():
         vec[f] = Fraction(1)
     return list(vectors.values())
+
+
+def span_within(
+    rows: Iterable[SparseRow], columns: list[int], ncols: int
+) -> list[dict[int, int]]:
+    """A basis of the members of the rows' span supported on ``columns``.
+
+    Column ``columns[s]`` is moved to ``ncols + s``, so those columns come
+    last and the echelon rows pivoting among them span exactly that part.
+    The basis rows are integer rows indexed by position in ``columns``.
+    """
+    moved = {c: ncols + s for s, c in enumerate(columns)}
+    ech = Echelon()
+    for row in rows:
+        ech.add({moved.get(c, c): v for c, v in row.items()})
+    return [
+        {c - ncols: value for c, value in row.items()}
+        for pivot, row in ech.pivot_rows.items()
+        if pivot >= ncols
+    ]
 
 
 def solve(rows: list[SparseRow], rhs: list, ncols: int) -> SparseRow | None:

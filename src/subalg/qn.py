@@ -445,12 +445,9 @@ def verify_d_of_q(
     basis = flt.final_basis
     shifted_span = Echelon()
 
-    def add_shifted(f: Poly) -> None:
-        shifted_span.add(jets.jet(f - Poly.constant(n, f.evaluate(point))))
-
     degree = top + report.conductor
     for f in truncated_algebra_basis(basis, report, degree):
-        add_shifted(f)
+        shifted_span.add(jets.shifted_jet(f, point))
     # The algebra holds the jet map's kernel, every product over the points
     # of (cap + 1)-th powers of shifted variables, so its shifted jets have
     # rank dim - codim - 1.  Degree len(pts)·(cap + 1) − 1 separates jets of
@@ -461,7 +458,7 @@ def verify_d_of_q(
     while shifted_span.rank < jets.dim - report.codim - 1 and degree < separating:
         degree += 1
         for mono in sorted(monomials_of_degree(n, degree), key=basis.order.key):
-            add_shifted(basis.canonical_element(mono))
+            shifted_span.add(jets.shifted_jet(basis.canonical_element(mono), point))
     shifted = list(shifted_span.pivot_rows.values())
     square = Echelon()
     for product in jets.pair_products(shifted):
@@ -531,12 +528,6 @@ def verify_d_of_q(
 MAX_CONTAINMENT_ELEMENTS = 675_000
 
 
-def _int_terms(f: Poly) -> dict[Monomial, int]:
-    """Clear denominators; scaling does not change membership."""
-    den = lcm(*(coeff.denominator for _, coeff in f.terms()))
-    return {mono: int(coeff * den) for mono, coeff in f.terms()}
-
-
 def _residue_table(
     basis: SagbiBasis, report: CodimReport, cap: int, index: dict[Monomial, int]
 ) -> list[list[int]]:
@@ -586,7 +577,10 @@ def _containment_counts(
     # Graded order, so every lower-degree window is a prefix of the list.
     monos = list(monomials_up_to(n, cap))
     index = {mono: j for j, mono in enumerate(monos)}
-    families = [[list(_int_terms(q).items()) for q in p_n(alpha, level)] for alpha in pts]
+    # Scaling a factor does not change membership, so denominators are cleared.
+    families = [
+        [list(integral(dict(q.terms())).items()) for q in p_n(alpha, level)] for alpha in pts
+    ]
     gathers = []  # per depth: t -> the columns t + w of the next window
     for depth, family in enumerate(families, start=1):
         window = monos[: count_monomials_up_to(n, cap - depth * level)]

@@ -25,10 +25,11 @@ elements; the raw products of ``kernel_sagbi_raw`` remain as its oracle.
 A level whose codimension scan has been cross-checked answers semigroup
 membership from its certified holes.
 
-A build validates each condition on the level's jet shadow: integer rows
-spanning the jets of the level at every condition point, cut by one
-elimination step per level.  The Leibniz rule on those jets is the rule
-on the whole level, so no spanning set of polynomials is built for it.
+A build validates each condition on the level's jet shadow: the jets of
+the level at every condition point, held as the echelon of the condition
+covectors cut so far, whose common kernel they are.  The Leibniz rule on
+those jets is the rule on the whole level, so no spanning set of
+polynomials is built for it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import add, le, lt, sub
 from typing import Iterable, Sequence
 
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .functionals import Condition, LinearFunctional, leibniz_on_jets
 from .jets import JetSpace
-from .linalg import Echelon, integral
+from .linalg import Echelon, kernel_basis, span_within
 from .poly import (
     Monomial,
     Poly,
@@ -549,19 +549,20 @@ def truncated_algebra_basis(
 
 
 class _JetShadow:
-    """The jets of a filtration level, as rows over one jet space.
+    """The jets of a filtration level, as the echelon of the covectors that cut it.
 
     Every condition is a combination of derivative evaluations, so it
     factors through the truncated jet map j at every condition point,
     alpha and beta, up to the largest condition order.  j is onto, so
-    j(K[x]) is the whole space (the unit rows), and j(A ∩ ker L) =
-    j(A) ∩ ker ℓ for ℓ the covector of L: each level is one hyperplane
-    section of the level below.  j is a ring homomorphism, so the
-    Leibniz rule on A is the pair test on these rows, projected to the
-    condition's own coordinates.  The rows stay primitive integer rows.
+    j(K[x]) is the whole space, and j(A ∩ ker L) = j(A) ∩ ker ℓ for ℓ the
+    covector of L: the level's jets are the common kernel of the
+    covectors cut so far, and ℓ vanishes on them exactly when it lies in
+    their span.  j is a ring homomorphism, so the Leibniz rule on A is
+    the pair test on these jets, projected to the condition's own
+    coordinates.
     """
 
-    __slots__ = ("space", "rows")
+    __slots__ = ("space", "cuts")
 
     def __init__(self, n: int, conditions: Sequence[Condition]):
         points: set = set()
@@ -570,27 +571,27 @@ class _JetShadow:
             points.update((condition.kind.alpha, condition.kind.beta))
         cap = max(condition.functional.max_order for condition in conditions)
         self.space = JetSpace(sorted(points), cap, n)
-        self.rows: list[dict[int, int]] = [{c: 1} for c in range(self.space.dim)]
+        self.cuts = Echelon()
 
     def project(self, condition: Condition) -> tuple[JetSpace, Echelon]:
-        """The condition's jet space, and the echelon of the rows projected to it."""
+        """The condition's jet space, and the echelon of the jets projected to it.
+
+        The projection to coordinates C of the covectors' common kernel
+        is the kernel of their span's members supported on C.
+        """
         functional, kind = condition.functional, condition.kind
         points = sorted(set(functional.points()) | {kind.alpha, kind.beta})
         space = JetSpace(points, functional.max_order, functional.n)
         big = self.space
-        projection = {
-            big.index(big.point_index(space.points[pi]), a): c
-            for c, (pi, a) in enumerate(space.coords)
-        }
+        columns = [big.index(big.point_index(space.points[pi]), a) for pi, a in space.coords]
+        within = span_within(self.cuts.pivot_rows.values(), columns, big.dim)
         jets = Echelon()
-        for row in self.rows:
-            projected = {projection[c]: v for c, v in row.items() if c in projection}
-            if projected and jets.add(projected) is not None and jets.rank == space.dim:
-                break
+        for row in kernel_basis(within, space.dim):
+            jets.add(row)
         return space, jets
 
     def leibniz_holds(self, condition: Condition) -> bool:
-        """The condition's Leibniz rule on the level these rows span."""
+        """The condition's Leibniz rule on the level these jets span."""
         space, jets = self.project(condition)
         kind = condition.kind
         return leibniz_on_jets(
@@ -598,36 +599,8 @@ class _JetShadow:
         )
 
     def cut(self, functional: LinearFunctional) -> bool:
-        """Intersect with ker ℓ by one fraction-free elimination step.
-
-        The sparsest row where ℓ is nonzero is the pivot; every other
-        such row r becomes ℓ(p)·r − ℓ(r)·p over their gcd, and the pivot
-        leaves.  Returns False, changing nothing, when ℓ vanishes on the
-        rows.
-        """
-        covector = integral(self.space.functional_covector(functional))
-        pair = self.space.pair
-        hits = [(i, value) for i, row in enumerate(self.rows) if (value := pair(covector, row))]
-        if not hits:
-            return False
-        p, vp = min(hits, key=lambda hit: len(self.rows[hit[0]]))
-        pivot = self.rows[p]
-        for i, value in hits:
-            if i == p:
-                continue
-            g = gcd(vp, value)
-            scale, factor = vp // g, value // g
-            row = {c: scale * v for c, v in self.rows[i].items()}
-            for c, v in pivot.items():
-                new = row.get(c, 0) - factor * v
-                if new:
-                    row[c] = new
-                else:
-                    del row[c]
-            content = gcd(*row.values())
-            self.rows[i] = row if content == 1 else {c: v // content for c, v in row.items()}
-        del self.rows[p]
-        return True
+        """Intersect with ker ℓ; False, changing nothing, when ℓ vanishes on the jets."""
+        return self.cuts.add(self.space.functional_covector(functional)) is not None
 
 
 def build_from_conditions(
@@ -639,8 +612,10 @@ def build_from_conditions(
 
     Each condition must satisfy the Leibniz rule for its declared points
     on the algebra it cuts, and must not vanish on all of it.  Both are
-    decided on the level's jet shadow (``_JetShadow``), whose one jet
-    space is built, or refused as too large, before level 1.  The
+    decided on the level's jet shadow (``_JetShadow``): the common kernel
+    of the covectors cut so far, in one jet space that is built, or
+    refused as too large, before level 1.  A condition vanishes on the
+    level when its covector lies in their span.  The
     codimension grows by exactly one per level; the scan certificate and
     the dropped leading monomial are cross-checked on every step, and a
     cross-checked level answers semigroup membership from its holes.

@@ -28,13 +28,12 @@ a product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .errors import InvariantError
 from .functionals import LinearFunctional
 from .jets import JetSpace
-from .linalg import Echelon, SparseRow, integral, kernel_basis
-from .poly import Monomial, Point, Poly, as_point, monomials_up_to
+from .linalg import Echelon, SparseRow, integral, kernel_basis, span_within
+from .poly import Monomial, Point, as_point, monomials_up_to
 from .sagbi import ConditionFiltration, SagbiBasis
 
 
@@ -171,17 +170,7 @@ def derivation_space(
 
     # Candidate combinations that vanish on the whole algebra: exactly the
     # elements of the condition row space supported on candidate coordinates.
-    # With slot s moved to column space.dim + s, candidate columns come last,
-    # so the echelon rows pivoting among them span that part.
-    moved = {c: space.dim + s for c, s in slot_of.items()}
-    combos = Echelon()
-    for row in condition_rows:
-        combos.add({moved.get(c, c): v for c, v in row.items()})
-    vanishing = [
-        {c - space.dim: value for c, value in row.items()}
-        for pivot, row in combos.pivot_rows.items()
-        if pivot >= space.dim
-    ]
+    vanishing = span_within(condition_rows, list(slot_of), space.dim)
 
     for z in vanishing:
         for row in square_rows:
@@ -239,9 +228,8 @@ def cotangent_dimension(
     target_rank = space.dim - (flt.codim + 1)
 
     gens = flt.final_basis.gens
-    shifted = [integral(space.jet(g - Poly.constant(n, g.evaluate(point)))) for g in gens]
-    lows = [space.lowest_orders(s) for s in shifted]
-    least = [min(low) for low in lows]
+    shifted = [integral(space.shifted_jet(g, point)) for g in gens]
+    table = space.order_table(shifted)
     ideal_span = Echelon()
     square_span = Echelon()
     frontier = list(shifted)
@@ -249,13 +237,8 @@ def cotangent_dimension(
         row = ideal_span.add(frontier.pop())
         if row is None:
             continue
-        row_lows = space.lowest_orders(row)
-        room = space.cap - min(row_lows)
-        for s, low, s_least in zip(shifted, lows, least):
-            # As in JetSpace.pair_products: the truncated product is 0.
-            if s_least > room or min(map(add, row_lows, low)) > space.cap:
-                continue
-            product = space.product(row, s)
+        for j in space.partners(space.lowest_orders(row), table):
+            product = space.product(row, shifted[j])
             square_span.add(product)
             frontier.append(product)
     if ideal_span.rank != target_rank:

@@ -7,7 +7,7 @@ import pytest
 
 from subalg.cli import Session
 from subalg.jets import JetSpace
-from subalg.linalg import Echelon, integral, kernel_basis, solve
+from subalg.linalg import Echelon, integral, kernel_basis, solve, span_within
 from subalg.poly import Poly
 from subalg.qn import qn_build, qn_spec, verify_qprime_eq_q
 from subalg.spectrum import cotangent_dimension, derivation_space, spectrum
@@ -266,6 +266,45 @@ def test_kernel_vectors_annihilate():
             assert list(vec) == sorted(vec)
             for row in matrix:
                 assert sum(row[c] * v for c, v in vec.items()) == 0
+
+
+def dense_span_within(matrix, columns, ncols):
+    """RREF of the row space's members supported on ``columns``, by brute force.
+
+    The combinations y of the rows with y·M zero off ``columns`` are the
+    kernel of the off-column block transposed; their y·M, read at
+    ``columns`` in order, span the part.
+    """
+    off = [c for c in range(ncols) if c not in columns]
+    transposed = [[row[c] for row in matrix] for c in off]
+    members = [
+        [sum(y[i] * matrix[i][c] for i in range(len(matrix))) for c in columns]
+        for y in dense_kernel_basis(transposed, len(matrix))
+    ]
+    return dense_rref(members)[0]
+
+
+def test_span_within_matches_dense_oracle():
+    rng = random.Random(19)
+    nonempty = 0
+    for _ in range(300):
+        nrows = rng.randint(0, 6)
+        ncols = rng.randint(1, 7)
+        matrix = [
+            [F(rng.randint(-3, 3)) if rng.random() < 0.6 else F(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        columns = rng.sample(range(ncols), rng.randint(0, ncols))
+        found = span_within([_to_sparse(row) for row in matrix], columns, ncols)
+        ech = Echelon()
+        for row in found:
+            assert all(type(v) is int for v in row.values())
+            assert ech.add(row) is not None  # a basis: independent rows
+        reduced = [densify(row, len(columns)) for row in ech.rows()]
+        expected = [row for row in dense_span_within(matrix, columns, ncols) if any(row)]
+        assert reduced == expected, (matrix, columns)
+        nonempty += bool(found) and len(columns) < ncols
+    assert nonempty > 30
 
 
 def test_solve_random_consistent_systems():

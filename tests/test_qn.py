@@ -13,7 +13,7 @@ import subalg.qn
 
 from subalg.cli import Session
 from subalg.jets import JetSpace
-from subalg.linalg import Echelon
+from subalg.linalg import Echelon, integral
 from subalg.poly import (
     DEGREVLEX,
     Poly,
@@ -29,7 +29,6 @@ from subalg.qn import (
     MAX_QN_CONDITIONS,
     _IdealSlice,
     _containment_counts,
-    _int_terms,
     CheckItem,
     Report,
     p_n,
@@ -1016,7 +1015,7 @@ def containment_by_products(flt, pts, level, cap):
     if cap < width:
         return 0, 0
     table = MembershipTable(flt.final_basis, flt.final_report, cap)
-    families = [[_int_terms(q) for q in p_n(alpha, level)] for alpha in pts]
+    families = [[integral(dict(q.terms())) for q in p_n(alpha, level)] for alpha in pts]
     shifts = list(monomials_up_to(n, cap - width))
     checked = failed = 0
     for combo in itertools.product(*families):

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ from subalg.functionals import (
     character_difference,
     check_leibniz,
 )
-from subalg.linalg import Echelon
+from subalg.jets import JetSpace
+from subalg.linalg import Echelon, integral
 from subalg.poly import DEGREVLEX, Poly, TermOrder, format_poly, monomials_of_degree, parse_poly
 from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import (
@@ -1004,6 +1006,79 @@ def test_shadow_projection_equals_a_canonical_span_and_its_verdict():
             levels += 1
     assert levels > 200
     assert verdicts // 4 < refusals < verdicts
+
+
+class RowShadow(sagbi._JetShadow):
+    """The former shadow, kept as an oracle: the level's jets as integer rows.
+
+    It starts from the unit rows and cuts each level by one fraction-free
+    elimination step.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, n, conditions):
+        super().__init__(n, conditions)
+        self.rows = [{c: 1} for c in range(self.space.dim)]
+
+    def project(self, condition):
+        functional, kind = condition.functional, condition.kind
+        points = sorted(set(functional.points()) | {kind.alpha, kind.beta})
+        space = JetSpace(points, functional.max_order, functional.n)
+        big = self.space
+        projection = {
+            big.index(big.point_index(space.points[pi]), a): c
+            for c, (pi, a) in enumerate(space.coords)
+        }
+        jets = Echelon()
+        for row in self.rows:
+            projected = {projection[c]: v for c, v in row.items() if c in projection}
+            if projected and jets.add(projected) is not None and jets.rank == space.dim:
+                break
+        return space, jets
+
+    def cut(self, functional):
+        """The sparsest row where ℓ is nonzero is the pivot; every other such
+        row r becomes ℓ(p)·r − ℓ(r)·p over their gcd, and the pivot leaves."""
+        covector = integral(self.space.functional_covector(functional))
+        pair = self.space.pair
+        hits = [(i, value) for i, row in enumerate(self.rows) if (value := pair(covector, row))]
+        if not hits:
+            return False
+        p, vp = min(hits, key=lambda hit: len(self.rows[hit[0]]))
+        pivot = self.rows[p]
+        for i, value in hits:
+            if i == p:
+                continue
+            g = gcd(vp, value)
+            scale, factor = vp // g, value // g
+            row = {c: scale * v for c, v in self.rows[i].items()}
+            for c, v in pivot.items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            content = gcd(*row.values())
+            self.rows[i] = row if content == 1 else {c: v // content for c, v in row.items()}
+        del self.rows[p]
+        return True
+
+
+def test_covector_shadow_matches_row_elimination_oracle():
+    chains = [(label, flt.n, list(flt.conditions())) for label, flt in shadow_fixtures()]
+    chains += [(label, n, chain(texts)) for label, n, texts, _, _ in REFUSED]
+    levels = redundant = 0
+    for label, n, conditions in chains:
+        shadow, oracle = sagbi._JetShadow(n, conditions), RowShadow(n, conditions)
+        for index, condition in enumerate(conditions, start=1):
+            projected = shadow.project(condition)[1].pivot_rows
+            assert projected == oracle.project(condition)[1].pivot_rows, (label, index)
+            verdict = shadow.cut(condition.functional)
+            assert verdict == oracle.cut(condition.functional), (label, index)
+            levels += 1
+            redundant += not verdict
+    assert levels > 200 and redundant >= 2
 
 
 def test_builds_take_no_span_and_no_polynomial_jets(monkeypatch):

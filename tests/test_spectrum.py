@@ -129,6 +129,9 @@ def test_jet_matches_shifted_expansion(n, seed=37, rounds=60):
             Poly.monomial(tuple(rng.randint(cap, cap + 3) for _ in range(n))),
         ):
             assert space.jet(f) == jet_by_translate(space, f)
+            for p in pts:
+                shifted = f - Poly.constant(n, f.evaluate(p))
+                assert space.shifted_jet(f, p) == jet_by_translate(space, shifted)
 
 
 def test_jet_product_matches_polynomial_product(seed=31, rounds=50):
