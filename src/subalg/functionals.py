@@ -36,14 +36,29 @@ class DerivativeAtom:
         """coeff * d^partials f(point), read straight from the terms of ``f``.
 
         A term c x^m contributes c * prod_i m_i!/(m_i - a_i)! * p_i^(m_i - a_i)
-        when m >= a, and nothing otherwise.
+        when m >= a, and nothing otherwise.  The terms are summed on
+        ``int`` where ``f``, the point and the weight are integral
+        (``_apply_atoms``), and the sum becomes a Fraction once.
         """
         if len(self.partials) != f.n or len(self.point) != f.n:
             raise DimensionMismatch("polynomial and atom sizes differ")
-        total = 0
-        point = tuple(map(_as_int, self.point))
-        for mono, value in f.items():
-            for e, k, x in zip(mono, self.partials, point):
+        return Fraction(_apply_atoms((self,), f))
+
+
+def _apply_atoms(atoms: Iterable[DerivativeAtom], f: Poly) -> int | Fraction:
+    """The sum of the atoms' values on ``f``, on ``int`` where the data are integral.
+
+    Coefficients and coordinates are read through ``_as_int``, so a sum
+    over integral terms, points and weights never leaves ``int``.
+    """
+    total = 0
+    terms = f.items()
+    for atom in atoms:
+        point = tuple(map(_as_int, atom.point))
+        partials = atom.partials
+        part = 0
+        for mono, value in terms:
+            for e, k, x in zip(mono, partials, point):
                 if e < k or (e > k and not x):
                     break
                 if k:
@@ -51,8 +66,10 @@ class DerivativeAtom:
                 if e > k:
                     value *= x ** (e - k)
             else:
-                total += value
-        return self.coeff * total
+                part += value
+        if part:
+            total += _as_int(atom.coeff) * part
+    return total
 
 
 def _atom_sort_key(atom: DerivativeAtom):
@@ -127,7 +144,7 @@ class LinearFunctional:
     def apply(self, f: Poly) -> Fraction:
         if f.n != self.n:
             raise DimensionMismatch("polynomial and functional sizes differ")
-        return sum((atom.apply(f) for atom in self.atoms), Fraction(0))
+        return Fraction(_apply_atoms(self.atoms, f))
 
     def __add__(self, other: LinearFunctional) -> LinearFunctional:
         if self.n != other.n:

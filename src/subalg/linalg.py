@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 SparseRow = dict[int, Fraction]
 
@@ -149,24 +149,49 @@ def kernel_basis(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     return list(vectors.values())
 
 
+class SpanWithin:
+    """The members of a growing span that are supported on ``columns``.
+
+    Column ``columns[s]`` is moved to ``ncols + s``, so those columns come
+    last and the echelon rows pivoting among them span exactly that part.
+    Rows may arrive over time; ``seen`` counts the rows fed so far.
+    """
+
+    __slots__ = ("_moved", "_ncols", "_echelon", "seen")
+
+    def __init__(self, columns: Sequence[int], ncols: int):
+        self._moved = {c: ncols + s for s, c in enumerate(columns)}
+        self._ncols = ncols
+        self._echelon = Echelon()
+        self.seen = 0
+
+    def extend(self, rows: Iterable[SparseRow]) -> None:
+        moved = self._moved
+        for row in rows:
+            self._echelon.add({moved.get(c, c): v for c, v in row.items()})
+            self.seen += 1
+
+    def basis(self) -> list[dict[int, int]]:
+        """Integer rows spanning the part, indexed by position in ``columns``."""
+        ncols = self._ncols
+        return [
+            {c - ncols: value for c, value in row.items()}
+            for pivot, row in self._echelon.pivot_rows.items()
+            if pivot >= ncols
+        ]
+
+
 def span_within(
     rows: Iterable[SparseRow], columns: list[int], ncols: int
 ) -> list[dict[int, int]]:
     """A basis of the members of the rows' span supported on ``columns``.
 
-    Column ``columns[s]`` is moved to ``ncols + s``, so those columns come
-    last and the echelon rows pivoting among them span exactly that part.
-    The basis rows are integer rows indexed by position in ``columns``.
+    The basis rows are integer rows indexed by position in ``columns``
+    (``SpanWithin``).
     """
-    moved = {c: ncols + s for s, c in enumerate(columns)}
-    ech = Echelon()
-    for row in rows:
-        ech.add({moved.get(c, c): v for c, v in row.items()})
-    return [
-        {c - ncols: value for c, value in row.items()}
-        for pivot, row in ech.pivot_rows.items()
-        if pivot >= ncols
-    ]
+    within = SpanWithin(columns, ncols)
+    within.extend(rows)
+    return within.basis()
 
 
 def solve(rows: list[SparseRow], rhs: list, ncols: int) -> SparseRow | None:

@@ -221,32 +221,48 @@ def _poly_row(f: Poly, index: dict[Monomial, int]) -> dict[int, Fraction]:
 class _IdealSlice:
     """The constants plus the shifted-product ideal, capped at a total degree.
 
-    The slice is spanned by 1 and every ``pi_n`` product times every
-    monomial that keeps the total degree within ``cap``.  It is held as
-    the reduced echelon rows of that spanning set over the monomials up
-    to ``cap``, sorted descending in ``order``, so each row's pivot is
-    its leading monomial.
+    The slice is spanned by 1 and every ``pi_n`` product P times every
+    monomial x^s that keeps the total degree within ``cap``; ``elements``
+    counts those products times shifts.  It is held as the reduced
+    echelon rows of that span over the monomials up to ``cap``, sorted
+    descending in ``order``, so each row's pivot is its leading
+    monomial.
+
+    The rows grow by shift degree.  With V_t the span of the P·x^s with
+    |s| <= t, V_(t+1) = V_t + sum_v x_v·V_t, and x_v·V_(t-1) already lies
+    in V_t, so degree t + 1 needs only x_v times the P·x^s of degree t
+    that were independent when added: a dependent one lies in V_(t-1)
+    plus the rows added before it, whose multiples are already covered.
+    The constant row comes last, so "independent" means independent of
+    the ideal rows.
     """
 
     def __init__(self, pts: PointSet, level: int, cap: int, order: TermOrder):
-        self.n = len(pts[0])
+        n = self.n = len(pts[0])
         self.cap = cap
-        self.monos, self._index = _monomial_frame(self.n, cap, order)
+        self.monos, self._index = _monomial_frame(n, cap, order)
         self._echelon = Echelon()
-        self._echelon.add(_poly_row(Poly.constant(self.n, 1), self._index))
         self.elements = 0
         width = level * len(pts)
         if cap >= width:
-            shifts = list(monomials_up_to(self.n, cap - width))
             index = self._index
-            for product in pi_n(pts, level):
-                terms = product.terms()
-                for shift in shifts:
-                    self.elements += 1
+            products = [product.terms() for product in pi_n(pts, level)]
+            self.elements = len(products) * comb(n + cap - width, n)
+            units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+            frontier = dict.fromkeys((p, (0,) * n) for p in range(len(products)))
+            for _ in range(cap - width + 1):
+                independent = []
+                for p, shift in frontier:
                     # Times x^shift: the exponents move, the coefficients stay.
-                    self._echelon.add(
-                        {index[tuple(map(add, m, shift))]: c for m, c in terms}
-                    )
+                    row = {index[tuple(map(add, m, shift))]: c for m, c in products[p]}
+                    if self._echelon.add(row) is not None:
+                        independent.append((p, shift))
+                frontier = dict.fromkeys(
+                    (p, tuple(map(add, shift, unit)))
+                    for p, shift in independent
+                    for unit in units
+                )
+        self._echelon.add(_poly_row(Poly.constant(n, 1), self._index))
 
     @property
     def rank(self) -> int:
@@ -271,9 +287,12 @@ class _IdealSlice:
             {col: e for col, e in enumerate(residue) if e}
             for residue in _residue_table(basis, report, self.cap, self._index)
         ]
+        # A stored row is a positive multiple of its RREF row, so it is
+        # tested as stored, on integers, and only a failing row is divided.
+        rows = self._echelon.pivot_rows
         return [
-            Poly(self.n, {self.monos[col]: coeff for col, coeff in row.items()})
-            for row in self._echelon.rows()
+            Poly(self.n, {self.monos[col]: Fraction(v, row[p]) for col, v in row.items()})
+            for p, row in sorted(rows.items())
             if any(
                 sum(c * residue[col] for col, c in row.items() if col in residue)
                 for residue in table
@@ -288,7 +307,9 @@ def qprime_membership(
 
     The slice is spanned by the shifted-monomial products times all
     monomials that keep the total degree within ``degree_cap``; the test
-    is exact row reduction over that spanning set plus the constants.
+    is exact row reduction against an echelon basis of that span plus
+    the constants, grown from the independent products and shifts
+    (``_IdealSlice``).
     """
     pts = point_set(points)
     if f.total_degree() > degree_cap:

@@ -49,11 +49,12 @@ from .errors import (
 )
 from .functionals import Condition, LinearFunctional, leibniz_on_jets
 from .jets import JetSpace
-from .linalg import Echelon, kernel_basis, span_within
+from .linalg import Echelon, SpanWithin, SparseRow, kernel_basis
 from .poly import (
     Monomial,
     Poly,
     TermOrder,
+    _as_int,
     as_point,
     monomials_of_degree,
 )
@@ -412,7 +413,7 @@ def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
         coeff = 0 if m in vanishing else functional.apply(cm)
         if coeff:
             terms = dict(cm.items())
-            _subtract(terms, Fraction(coeff, value), gj)
+            _subtract(terms, _as_int(coeff / value), gj)
             cm = Poly(basis.n, terms)
         gens.append(cm)
     # Only heads above d get a multiple of g_j subtracted, so m stays the head.
@@ -562,7 +563,7 @@ class _JetShadow:
     coordinates.
     """
 
-    __slots__ = ("space", "cuts")
+    __slots__ = ("space", "cuts", "_covectors", "_within")
 
     def __init__(self, n: int, conditions: Sequence[Condition]):
         points: set = set()
@@ -572,21 +573,28 @@ class _JetShadow:
         cap = max(condition.functional.max_order for condition in conditions)
         self.space = JetSpace(sorted(points), cap, n)
         self.cuts = Echelon()
+        self._covectors: list[SparseRow] = []  # every covector cut, in order
+        self._within: dict[tuple[int, ...], SpanWithin] = {}
 
     def project(self, condition: Condition) -> tuple[JetSpace, Echelon]:
         """The condition's jet space, and the echelon of the jets projected to it.
 
         The projection to coordinates C of the covectors' common kernel
-        is the kernel of their span's members supported on C.
+        is the kernel of their span's members supported on C.  Each C
+        keeps its own ``SpanWithin``, fed only the covectors cut since
+        its last use.
         """
         functional, kind = condition.functional, condition.kind
         points = sorted(set(functional.points()) | {kind.alpha, kind.beta})
         space = JetSpace(points, functional.max_order, functional.n)
         big = self.space
-        columns = [big.index(big.point_index(space.points[pi]), a) for pi, a in space.coords]
-        within = span_within(self.cuts.pivot_rows.values(), columns, big.dim)
+        columns = tuple(big.index(big.point_index(space.points[pi]), a) for pi, a in space.coords)
+        within = self._within.get(columns)
+        if within is None:
+            within = self._within[columns] = SpanWithin(columns, big.dim)
+        within.extend(self._covectors[within.seen:])
         jets = Echelon()
-        for row in kernel_basis(within, space.dim):
+        for row in kernel_basis(within.basis(), space.dim):
             jets.add(row)
         return space, jets
 
@@ -600,7 +608,11 @@ class _JetShadow:
 
     def cut(self, functional: LinearFunctional) -> bool:
         """Intersect with ker ℓ; False, changing nothing, when ℓ vanishes on the jets."""
-        return self.cuts.add(self.space.functional_covector(functional)) is not None
+        covector = self.space.functional_covector(functional)
+        if self.cuts.add(covector) is None:
+            return False
+        self._covectors.append(covector)
+        return True
 
 
 def build_from_conditions(

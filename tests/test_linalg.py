@@ -7,7 +7,7 @@ import pytest
 
 from subalg.cli import Session
 from subalg.jets import JetSpace
-from subalg.linalg import Echelon, integral, kernel_basis, solve, span_within
+from subalg.linalg import Echelon, SpanWithin, integral, kernel_basis, solve, span_within
 from subalg.poly import Poly
 from subalg.qn import qn_build, qn_spec, verify_qprime_eq_q
 from subalg.spectrum import cotangent_dimension, derivation_space, spectrum
@@ -305,6 +305,25 @@ def test_span_within_matches_dense_oracle():
         assert reduced == expected, (matrix, columns)
         nonempty += bool(found) and len(columns) < ncols
     assert nonempty > 30
+
+
+def test_span_within_fed_in_pieces_matches_one_shot():
+    rng = random.Random(23)
+    for _ in range(100):
+        ncols = rng.randint(1, 7)
+        rows = [
+            {c: F(rng.randint(-3, 3)) for c in range(ncols) if rng.random() < 0.5}
+            for _ in range(rng.randint(0, 8))
+        ]
+        columns = rng.sample(range(ncols), rng.randint(0, ncols))
+        within = SpanWithin(columns, ncols)
+        while within.seen < len(rows):
+            within.extend(rows[within.seen : within.seen + rng.randint(1, 3)])
+            prefix = rows[: within.seen]
+            # Stored rows are unique multiples of the RREF rows.
+            assert sorted(sorted(row.items()) for row in within.basis()) == sorted(
+                sorted(row.items()) for row in span_within(prefix, columns, ncols)
+            )
 
 
 def test_solve_random_consistent_systems():

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
@@ -536,6 +537,72 @@ def test_slice_membership_ignores_the_column_order():
             for order in (DEGREVLEX, TermOrder("lex"), TermOrder("deglex"))
         }
         assert verdicts == {qprime_membership(poly, pts, 2, 6)}
+
+
+GROWTH_CASES = (
+    [(((0, 0), (0, 1)), level) for level in range(2, 7)]
+    + [(((0,), (1,), (2,)), level) for level in range(2, 6)]
+    + [(((0, 0, 0), (1, 0, 0)), level) for level in (2, 3)]
+)
+
+
+def test_slice_grown_from_independent_products_matches_every_shift():
+    # Each algebra's slice at the cap verify_qprime_eq_q uses and two
+    # above it (a raised SUBALG_MAX_DEGREE), and the slice one level
+    # below, which sticks out of the algebra.
+    cases = outside = 0
+    for points, level in GROWTH_CASES:
+        spec = qn_spec(points, level)
+        pts = spec.points
+        n = len(pts[0])
+        for order in SLICE_ORDERS:
+            flt = qn_build(spec, order)
+            basis, report = flt.final_basis, flt.final_report
+            cap = report.conductor + level * len(pts)
+            for slice_level, slice_cap in [(level, cap), (level, cap + 2), (level - 1, cap)]:
+                ideal = _IdealSlice(pts, slice_level, slice_cap, order)
+                ech, monos, _ = _fresh_slice(pts, slice_level, slice_cap, order)
+                label = (points, level, order.name, slice_level, slice_cap)
+                assert ideal._echelon.rows() == ech.rows(), label
+                assert ideal.pivots() == ech.pivots(), label
+                products = len(pi_n(pts, slice_level))
+                shifts = len(list(monomials_up_to(n, slice_cap - slice_level * len(pts))))
+                assert ideal.elements == products * shifts, label
+                if slice_level < level:
+                    got = [format_poly(r) for r in ideal.rows_outside(basis, report)]
+                    want = [
+                        format_poly(row)
+                        for row in (
+                            Poly(n, {monos[col]: c for col, c in r.items()}) for r in ech.rows()
+                        )
+                        if not subduce(row, basis).remainder.is_zero()
+                    ]
+                    assert got == want, label
+                    outside += bool(got)
+                cases += 1
+    assert cases == 99
+    assert outside == 33
+
+
+def test_slice_growth_adds_only_multiples_of_independent_products(monkeypatch):
+    # 2,127 rows for every product times every shift; the growth from
+    # independent products adds 582.  The count is deterministic.
+    calls = []
+    original = Echelon.add
+
+    def counting(self, row):
+        if sys._getframe(1).f_code is _IdealSlice.__init__.__code__:
+            calls.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting)
+    ranks = []
+    for points, level in LADDER_RUNGS:
+        report = verify_qprime_eq_q(points, level)
+        assert report.passed
+        ranks.append(report.items[2].details["slice_rank"])
+    assert ranks == [58, 80, 158, 11]
+    assert len(calls) == 582
 
 
 # -- two-sided verification reports -----------------------------------

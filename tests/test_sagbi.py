@@ -827,6 +827,37 @@ def test_kernel_step_matches_raw_product_oracle(seed=67, rounds=150):
     assert levels > 400
 
 
+def test_kernel_multiplier_is_an_int_exactly_when_integral(monkeypatch):
+    # a4 carries /11 into its values, so its kernel steps subtract both
+    # integral and fractional multiples of the pivot generator; a qn rung
+    # only integral ones.
+    multipliers = []
+    original = sagbi._subtract
+
+    def recording(terms, coeff, element):
+        if sys._getframe(1).f_code is kernel_sagbi.__code__:
+            multipliers.append(coeff)
+        return original(terms, coeff, element)
+
+    monkeypatch.setattr(sagbi, "_subtract", recording)
+    kinds = {}
+    for label, flt in [
+        ("a4", session_filtration("a4")),
+        ("qn", qn_build(qn_spec(((0, 0), (1, 1)), 3))),
+    ]:
+        below = flt.base
+        multipliers.clear()
+        for index, level in enumerate(flt.levels, start=1):
+            functional = level.condition.functional
+            fast = kernel_sagbi(below, functional)
+            assert fast.gens == kernel_by_raw_products(below, functional).gens, (label, index)
+            assert fast.gens == level.basis.gens, (label, index)
+            below = level.basis
+        assert all(type(c) is int or c.denominator != 1 for c in multipliers)
+        kinds[label] = {type(c).__name__ for c in multipliers}
+    assert kinds == {"a4": {"int", "Fraction"}, "qn": {"int"}}
+
+
 @pytest.mark.parametrize("level", range(2, 9))
 def test_kernel_step_on_plane_points_matches_raw_product_oracle(level):
     # Large levels, where a candidate head has many kept heads below it.
