@@ -58,7 +58,7 @@ from .sagbi import (
     build_from_conditions,
     truncated_algebra_basis,
 )
-from .spectrum import cotangent_dimension, derivation_space, spectrum
+from .spectrum import cotangent_dimension, derivation_space, maximal_ideal_jets, spectrum
 
 PointSet = tuple[Point, ...]
 
@@ -437,13 +437,14 @@ def verify_d_of_q(
     The expected dimension counts pure partials of order between the
     level and twice the level minus one, once per point (the points are
     glued into a single cluster, so every point contributes); the
-    independent cotangent count must agree.  The expected partials have
-    L(1) = 0, so they obey the product rule on a truncated spanning set
-    exactly when they kill (f − f(alpha))(g − g(alpha)) for all f, g in
-    it; these products span m² as the set sees it.  The computed basis
-    must lie in their span: its rows of values on the set must lie in
-    the row space of theirs.  Both checks are (bi)linear in the jets, so
-    they read an echelon basis of the shifted jets in one jet space.
+    cotangent count must agree.  The expected partials have L(1) = 0,
+    so they obey the product rule exactly when they kill the jets of
+    m², and the computed basis must lie in their span: its rows of
+    values on the jets of m must lie in the row space of theirs.  Both
+    checks are (bi)linear in the jets, so they read the certified
+    closure of ``maximal_ideal_jets`` in one jet space.  Its cap reaches
+    the expected partials and twice the largest condition order plus
+    one, where the derivation basis stops too.
     ``flt`` may pass the filtration ``qn_build`` made for the same
     points, level and order.
     """
@@ -454,36 +455,14 @@ def verify_d_of_q(
     if point not in pts:
         raise ValueError("the base point must belong to the point set")
     flt = _spec_filtration(spec, order, flt)
-    report = flt.final_report
-    sp = spectrum(flt)
-    space = derivation_space(flt, point, spec=sp)
+    space = derivation_space(flt, point)
     top = 2 * level - 1
     expected = len(pts) * (count_monomials_up_to(n, top) - count_monomials_up_to(n, level - 1))
-    cot = cotangent_dimension(flt, point, spec=sp)
 
-    cap = max([top] + [f.max_order for f in space.basis])
-    jets = JetSpace(pts, cap, n)
-    basis = flt.final_basis
-    shifted_span = Echelon()
-
-    degree = top + report.conductor
-    for f in truncated_algebra_basis(basis, report, degree):
-        shifted_span.add(jets.shifted_jet(f, point))
-    # The algebra holds the jet map's kernel, every product over the points
-    # of (cap + 1)-th powers of shifted variables, so its shifted jets have
-    # rank dim - codim - 1.  Degree len(pts)·(cap + 1) − 1 separates jets of
-    # order cap at the points, so the span is raised until it reaches that
-    # rank, at most to that degree.  Every monomial above the conductor
-    # is a head.
-    separating = len(pts) * (cap + 1) - 1
-    while shifted_span.rank < jets.dim - report.codim - 1 and degree < separating:
-        degree += 1
-        for mono in sorted(monomials_of_degree(n, degree), key=basis.order.key):
-            shifted_span.add(jets.shifted_jet(basis.canonical_element(mono), point))
-    shifted = list(shifted_span.pivot_rows.values())
-    square = Echelon()
-    for product in jets.pair_products(shifted):
-        square.add(product)
+    jets = JetSpace(pts, max(top, 2 * flt.max_order + 1), n)
+    ideal, square = maximal_ideal_jets(flt, jets, point)
+    cot = ideal.rank - square.rank
+    shifted = list(ideal.pivot_rows.values())
 
     # The shifted jets by coordinate, so a covector meets only the rows it touches.
     columns: dict[int, list[tuple[int, int]]] = {}

@@ -14,10 +14,11 @@ more than the largest condition order, the algebra contains I = ∩ m_p^k
 over the spectrum and the point, and I ⊂ m; every derivation kills
 I² = ∩ m_p^2k, so both routes stop at jets of order 2k − 1.  The
 cotangent route never looks at candidate functionals or at the kernel
-of the conditions: it closes the shifted generator jets under products
-with themselves, certifies the rank of that maximal ideal, and reads
-its square off the products formed.  The two dimensions must agree,
-and the test suites check that they do.
+of the conditions: ``maximal_ideal_jets`` closes the shifted generator
+jets under products with themselves, certifies the rank of that maximal
+ideal, and reads its square off the products formed.  The two
+dimensions must agree, and the test suites check that they do; the
+point-set verifier in ``qn`` reads m and m² off the same closure.
 
 Both routes skip a pair of jets whose lowest derivative orders sum
 above the cap at every point: its truncated product is 0.  Where m holds
@@ -204,45 +205,54 @@ def derivation_space(
     )
 
 
-def cotangent_dimension(
-    flt: ConditionFiltration, alpha, *, spec: Spectrum | None = None
-) -> int:
-    """dim m/m² at ``alpha``, by closure under the shifted generators.
+def maximal_ideal_jets(
+    flt: ConditionFiltration, space: JetSpace, point: Point
+) -> tuple[Echelon, Echelon]:
+    """Echelons of the jets of m and of m² at ``point``, by closure.
 
-    S holds the jets of the shifted generators g − g(alpha).  Each row
+    S holds the jets of the shifted generators g − g(point).  Each row
     newly added to the echelon of m is multiplied by every s in S and
     the product goes back on the frontier, so the echelon closes on the
     jets of m.  Those products span the jets of m²: a monomial in the
     shifted generators with at least two factors is one with at least
     one factor times some s, and taking jets is a ring homomorphism.
-    The rank of m is certified as the jet dimension minus one row per
-    condition and one for evaluation; derivatives beyond twice the
-    largest condition order cannot see the quotient.  ``spec`` may pass
-    ``spectrum(flt)`` when the caller already has it.
+    ``space`` holds the spectrum and ``point`` up to at least the
+    largest condition order, so the algebra holds the kernel of its jet
+    map and the rank of m is certified as the jet dimension minus one
+    row per condition and one for evaluation.
     """
-    n = flt.n
-    point = as_point(alpha, n)
-    if spec is None:
-        spec = spectrum(flt)
-    space = JetSpace(sorted(set(spec.points) | {point}), 2 * flt.max_order + 1, n)
-    target_rank = space.dim - (flt.codim + 1)
-
-    gens = flt.final_basis.gens
-    shifted = [integral(space.shifted_jet(g, point)) for g in gens]
+    shifted = [integral(space.shifted_jet(g, point)) for g in flt.final_basis.gens]
     table = space.order_table(shifted)
-    ideal_span = Echelon()
-    square_span = Echelon()
+    ideal = Echelon()
+    square = Echelon()
     frontier = list(shifted)
     while frontier:
-        row = ideal_span.add(frontier.pop())
+        row = ideal.add(frontier.pop())
         if row is None:
             continue
         for j in space.partners(space.lowest_orders(row), table):
             product = space.product(row, shifted[j])
-            square_span.add(product)
+            square.add(product)
             frontier.append(product)
-    if ideal_span.rank != target_rank:
+    if ideal.rank != space.dim - (flt.codim + 1):
         raise InvariantError(
             "maximal ideal span failed to reach its certified jet rank"
         )
-    return target_rank - square_span.rank
+    return ideal, square
+
+
+def cotangent_dimension(
+    flt: ConditionFiltration, alpha, *, spec: Spectrum | None = None
+) -> int:
+    """dim m/m² at ``alpha``, as rank m − rank m² from ``maximal_ideal_jets``.
+
+    Jets go to twice the largest condition order plus one; derivatives
+    beyond that cannot see the quotient.  ``spec`` may pass
+    ``spectrum(flt)`` when the caller already has it.
+    """
+    point = as_point(alpha, flt.n)
+    if spec is None:
+        spec = spectrum(flt)
+    space = JetSpace(sorted(set(spec.points) | {point}), 2 * flt.max_order + 1, flt.n)
+    ideal, square = maximal_ideal_jets(flt, space, point)
+    return ideal.rank - square.rank

@@ -432,7 +432,7 @@ def test_echelon_matches_fraction_oracle_on_library_rows(monkeypatch, run):
     callers = {caller for caller, _ in streams}
     # Builds validate each level on its jet shadow's projection; the
     # echelon check_leibniz keeps is covered in test_functionals.py.
-    assert {"cotangent_dimension", "derivation_space", "_JetShadow.project"} <= callers
+    assert {"maximal_ideal_jets", "derivation_space", "_JetShadow.project"} <= callers
     if run is run_ladder:
         assert "_IdealSlice.__init__" in callers
     for _, stream in streams:
@@ -440,7 +440,7 @@ def test_echelon_matches_fraction_oracle_on_library_rows(monkeypatch, run):
 
 
 def test_echelon_matches_fraction_oracle_on_unscaled_generator_jets():
-    # The shifted generator jets before ``cotangent_dimension`` scales
+    # The shifted generator jets before ``maximal_ideal_jets`` scales
     # them: a4's generators carry /11 coefficients into them.
     denominators = set()
     for name in ("a1", "a2", "a3", "a4"):

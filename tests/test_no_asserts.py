@@ -1,5 +1,6 @@
 """The library never relies on ``assert``, which ``python -O`` removes,
-nor on bare ``RuntimeError``s, which carry no typed exit code."""
+nor on bare ``RuntimeError``s, which carry no typed exit code, and its
+modules import nothing they do not use."""
 
 import ast
 from pathlib import Path
@@ -36,4 +37,30 @@ def test_library_raises_no_runtime_error():
         if isinstance(node, ast.Raise) and node.exc is not None
         and raised_name(node) == "RuntimeError"
     ]
+    assert found == []
+
+
+def imported_names(tree):
+    """(name, line) bound by each import statement at the top of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_library_modules_use_every_import():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported_names(tree)
+            if name not in used
+        ]
     assert found == []

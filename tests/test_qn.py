@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import subalg.qn
+import subalg.sagbi
 
 from subalg.cli import Session
 from subalg.jets import JetSpace
@@ -43,8 +44,8 @@ from subalg.qn import (
     verify_qprime_eq_q,
 )
 from subalg.sagbi import build_from_conditions, is_member, subduce, truncated_algebra_basis
-from subalg.spectrum import cotangent_dimension, derivation_space, spectrum
-from subalg.errors import ContainmentTooLarge, DimensionMismatch, QnSpecTooLarge
+from subalg.spectrum import cotangent_dimension, derivation_space, maximal_ideal_jets, spectrum
+from subalg.errors import ContainmentTooLarge, DimensionMismatch, InvariantError, QnSpecTooLarge
 from subalg.functionals import (
     Condition,
     ConditionKind,
@@ -863,6 +864,83 @@ def test_derivation_report_above_the_level_matches(
     by_name = {item.check: item for item in got.items}
     assert not by_name["derivation_dimension"].passed
     assert len(by_name["basis_in_partial_span"].details["failing"]) == unexpressed
+
+
+def maximal_ideal_jets_by_span(flt, jets, point, degree):
+    """Echelons of the jets of m and m² from a truncated algebra basis of
+    degree ``degree``: its shifted jets, and every pair product of them."""
+    ideal = Echelon()
+    for f in truncated_algebra_basis(flt.final_basis, flt.final_report, degree):
+        ideal.add(jets.shifted_jet(f, point))
+    rows = list(ideal.pivot_rows.values())
+    square = Echelon()
+    for i, u in enumerate(rows):
+        for v in rows[i:]:
+            square.add(jets.product(u, v))
+    return ideal, square
+
+
+# Every D_OF_Q_CASES algebra built one level low, at its level and one high;
+# there is no algebra of level 0.
+SHIFTED_CASES = [
+    (points, level, shift)
+    for points, level in D_OF_Q_CASES
+    for shift in (-1, 0, 1)
+    if level + shift >= 1
+]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("points, level, shift", SHIFTED_CASES)
+def test_maximal_ideal_jets_match_the_span_route(points, level, shift, order):
+    pts = qn_spec(points, level).points
+    flt = qn_build(qn_spec(pts, level + shift), order)
+    point = pts[0]
+    space = derivation_space(flt, point)
+    # The jet space ``verify_d_of_q`` reads at ``level``.
+    cap = max(2 * level - 1, 2 * flt.max_order + 1)
+    jets = JetSpace(pts, cap, len(point))
+    degree = separating_degree(pts, level, space, flt.final_report)
+    assert degree >= len(pts) * (cap + 1) - 1
+    ideal, square = maximal_ideal_jets(flt, jets, point)
+    span_ideal, span_square = maximal_ideal_jets_by_span(flt, jets, point, degree)
+    assert ideal.rank == jets.dim - flt.codim - 1
+    assert ideal.pivot_rows == span_ideal.pivot_rows
+    assert square.pivot_rows == span_square.pivot_rows
+
+
+def test_maximal_ideal_jets_refuse_a_basis_missing_a_generator(monkeypatch):
+    pts = qn_spec([(0,), (1,)], 2).points
+    flt = qn_build(qn_spec(pts, 2))
+    jets = JetSpace(pts, 2 * flt.max_order + 1, 1)
+    maximal_ideal_jets(flt, jets, pts[0])
+    monkeypatch.setattr(flt.final_basis, "gens", flt.final_basis.gens[1:])
+    with pytest.raises(InvariantError, match="certified jet rank"):
+        maximal_ideal_jets(flt, jets, pts[0])
+
+
+@pytest.mark.parametrize("points, level", D_OF_Q_CASES)
+def test_derivation_report_builds_no_canonical_element(monkeypatch, points, level):
+    spec = qn_spec(points, level)
+    flt = qn_build(spec)
+    alpha = spec.points[0]
+    expected = verify_d_of_q(points, level, alpha, flt=flt)
+
+    def refuse(*args):
+        raise AssertionError("verify_d_of_q formed a canonical element")
+
+    monkeypatch.setattr(subalg.sagbi.SagbiBasis, "canonical_element", refuse)
+    monkeypatch.setattr(subalg.sagbi, "truncated_algebra_basis", refuse)
+    monkeypatch.setattr(subalg.qn, "truncated_algebra_basis", refuse)
+    closures = []
+
+    def counted(*args):
+        closures.append(args)
+        return maximal_ideal_jets(*args)
+
+    monkeypatch.setattr(subalg.qn, "maximal_ideal_jets", counted)
+    assert verify_d_of_q(points, level, alpha, flt=flt) == expected
+    assert len(closures) == 1
 
 
 def test_main_report_on_small_chains():
