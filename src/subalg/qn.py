@@ -13,9 +13,10 @@ constructions describe the same subalgebra of K[x1..xn]:
 The verifiers here certify that agreement instance by instance, along
 with the expected derivation-space dimensions, using exact linear
 algebra: membership in the algebra is read off the residue functionals
-of its certified missing set.  Results come back as reports of named
-checks rather than booleans so a caller can show which side failed and
-why.
+of its certified missing set, computed on integers by a recurrence on
+the final basis's generators (``sagbi._Residues``), so no canonical
+element is formed.  Results come back as reports of named checks rather
+than booleans so a caller can show which side failed and why.
 """
 
 from __future__ import annotations
@@ -55,8 +56,11 @@ from .sagbi import (
     CodimReport,
     ConditionFiltration,
     SagbiBasis,
+    _combine,
+    _heads_up_to,
+    _lowest_terms,
+    _Residues,
     build_from_conditions,
-    truncated_algebra_basis,
 )
 from .spectrum import cotangent_dimension, derivation_space, maximal_ideal_jets, spectrum
 
@@ -285,7 +289,7 @@ class _IdealSlice:
         """
         table = [
             {col: e for col, e in enumerate(residue) if e}
-            for residue in _residue_table(basis, report, self.cap, self._index)
+            for residue in _residue_table(_Residues(basis, report), self._index)
         ]
         # A stored row is a positive multiple of its RREF row, so it is
         # tested as stored, on integers, and only a failing row is divided.
@@ -528,34 +532,32 @@ def verify_d_of_q(
 MAX_CONTAINMENT_ELEMENTS = 675_000
 
 
-def _residue_table(
-    basis: SagbiBasis, report: CodimReport, cap: int, index: dict[Monomial, int]
-) -> list[list[int]]:
+def _residue_table(residues: _Residues, index: dict[Monomial, int]) -> list[list[int]]:
     """Rows E[k][index[m]] = rho_k(x^m) of the membership residue functionals.
 
-    Canonical tails lie outside the leading-monomial semigroup, so x^m is
-    congruent to minus its tail when m is a head and is its own residue
-    when m is missing; constants cost nothing.  A polynomial lies in the
-    algebra exactly when every rho_k vanishes on it.  Rows share one
-    denominator.
+    The vectors come from the recurrence of ``_Residues`` on the final
+    generators, so no canonical element is formed.  A polynomial lies in
+    the algebra exactly when every rho_k vanishes on it.  Rows share one
+    denominator, the lcm of the vectors' (the lcm of the canonical tails'
+    denominators, since a tail is minus rho of its head), and rows that
+    vanish on every column are left out.
     """
-    tails = {}
-    for element in truncated_algebra_basis(basis, report, cap):
-        head = element.leading_monomial(basis.order)
-        tails[head] = [(m, c) for m, c in element.terms() if m != head and sum(m) > 0]
-    scale = lcm(1, *(c.denominator for tail in tails.values() for _, c in tail))
-    rows: dict[Monomial, list[int]] = defaultdict(lambda: [0] * len(index))
-    for head, tail in tails.items():
-        for m, c in tail:
-            rows[m][index[head]] -= int(c * scale)
-    for mono in report.missing:
-        if mono in index:
-            rows[mono][index[mono]] += scale
-    return [row for row in rows.values() if any(row)]
+    vectors = residues.vectors(index)
+    scale = lcm(1, *(den for _, den in vectors))
+    rows: dict[int, list[int]] = defaultdict(lambda: [0] * len(index))
+    for col, (nums, den) in zip(index.values(), vectors):
+        factor = scale // den
+        for k, v in nums.items():
+            rows[k][col] = v * factor
+    return list(rows.values())
 
 
 def _containment_counts(
-    flt: ConditionFiltration, pts: PointSet, level: int, cap: int
+    flt: ConditionFiltration,
+    pts: PointSet,
+    level: int,
+    cap: int,
+    residues: _Residues | None = None,
 ) -> tuple[int, int]:
     """(checked, failed) counts for the capped ideal-in-algebra sweep.
 
@@ -563,6 +565,7 @@ def _containment_counts(
     every shift within the cap.  No product is formed.  Depth i contracts
     the residue table with its factor, E'[k][w] = sum_t f_t E[k][t + w],
     so at a leaf column s holds the residue of the product times x^s.
+    ``residues`` may pass the final basis's residue map a caller shares.
     """
     n = flt.n
     width = level * len(pts)
@@ -604,7 +607,9 @@ def _containment_counts(
             total += failures(depth + 1, contracted)
         return total
 
-    return checked, failures(0, _residue_table(flt.final_basis, flt.final_report, cap, index))
+    if residues is None:
+        residues = _Residues(flt.final_basis, flt.final_report)
+    return checked, failures(0, _residue_table(residues, index))
 
 
 def verify_main_theorem(
@@ -627,12 +632,16 @@ def verify_main_theorem(
     their jets, so those are taken once, in one jet space over the point
     and the basis's points, and cleared of denominators together: the
     Leibniz defect is bilinear and homogeneous, so the scaled jets give
-    the verdict of the members themselves.
+    the verdict of the members themselves.  No element is formed: the
+    jet of the one with head h is jet(x^h) − Σ_k rho_k(x^h)·jet(x^(m_k)).
+    The residue vectors rho are computed once per call and serve both
+    the sweep and these jets.
     """
     n = flt.n
     point = as_point(alpha, n)
     sp = spectrum(flt)
     report = flt.final_report
+    residues = _Residues(flt.final_basis, report)
     level = flt.max_order + 1
     items: list[CheckItem] = []
 
@@ -642,7 +651,7 @@ def verify_main_theorem(
             if containment_cap is not None
             else report.conductor + level * len(sp.points)
         )
-        checked, failed = _containment_counts(flt, sp.points, level, cap)
+        checked, failed = _containment_counts(flt, sp.points, level, cap, residues)
         details = {"level": level, "degree_cap": cap, "checked": checked, "failed": failed}
         items.append(CheckItem("ideal_containment", checked > 0 and failed == 0, details))
     else:
@@ -667,14 +676,10 @@ def verify_main_theorem(
     bad_pairs = 0
     if space.basis:
         max_order = max(f.max_order for f in space.basis)
-        span = truncated_algebra_basis(
-            flt.final_basis, report, report.conductor + max_order
-        )
+        heads = _heads_up_to(flt.final_basis, report, report.conductor + max_order)
         points = {point}.union(*(f.points() for f in space.basis))
         jets = JetSpace(sorted(points), max_order, n)
-        table = [jets.jet(f) for f in [Poly.constant(n, 1), *span]]
-        scale = lcm(1, *(v.denominator for row in table for v in row.values()))
-        one, *rows = [{c: int(v * scale) for c, v in row.items()} for row in table]
+        one, *rows = _canonical_jets(jets, residues, [(0,) * n, *heads])
         rng = random.Random(7)
         for functional in space.basis:
             for _ in range(10):
@@ -688,6 +693,31 @@ def verify_main_theorem(
         )
     )
     return Report(tuple(items))
+
+
+def _canonical_jets(
+    jets: JetSpace, residues: _Residues, heads: Sequence[Monomial]
+) -> list[dict[int, int]]:
+    """Integer jets of the canonical elements with these heads, at one scale.
+
+    The canonical element with head h is x^h − Σ_k rho_k(x^h)·x^(m_k), so
+    its jet is read off the jets of monomials and rho.  Each row is taken
+    on integers over its own denominator in lowest terms; the common scale
+    is the lcm of those, the lcm of the denominators of the rows' values.
+    """
+    vectors = residues.vectors(heads)
+    monos = {*heads, *(residues.missing[k] for nums, _ in vectors for k in nums)}
+    exact = {m: jets.jet(Poly.monomial(m)) for m in monos}
+    q = lcm(1, *(v.denominator for jet in exact.values() for v in jet.values()))
+    mono_jets = {m: {c: int(v * q) for c, v in jet.items()} for m, jet in exact.items()}
+    reduced = []
+    for head, (nums, den) in zip(heads, vectors):
+        terms = [(den, (mono_jets[head], 1))]
+        terms += [(-a, (mono_jets[residues.missing[k]], 1)) for k, a in nums.items()]
+        row, _ = _combine(terms)
+        reduced.append(_lowest_terms(row, q * den))
+    scale = lcm(1, *(d for _, d in reduced))
+    return [{c: v * (scale // d) for c, v in row.items()} for row, d in reduced]
 
 
 def _random_combination(

@@ -37,6 +37,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, lt, sub
 from typing import Iterable, Sequence
 
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .functionals import Condition, LinearFunctional, leibniz_on_jets
 from .jets import JetSpace
-from .linalg import Echelon, SpanWithin, SparseRow, kernel_basis
+from .linalg import Echelon, SpanWithin, SparseRow, integral, kernel_basis
 from .poly import (
     Monomial,
     Poly,
@@ -540,13 +541,146 @@ def truncated_algebra_basis(
     and the result is a vector-space basis of the degree slice (under
     degree-compatible orders).
     """
+    return [basis.canonical_element(mono) for mono in _heads_up_to(basis, report, max_degree)]
+
+
+def _heads_up_to(basis: SagbiBasis, report: CodimReport, max_degree: int) -> list[Monomial]:
+    """The semigroup monomials of degree <= max_degree, by degree, then term order."""
     missing = set(report.missing)
-    out: list[Poly] = []
-    for degree in range(max_degree + 1):
-        for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key):
-            if mono not in missing:
-                out.append(basis.canonical_element(mono))
-    return out
+    return [
+        mono
+        for degree in range(max_degree + 1)
+        for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key)
+        if mono not in missing
+    ]
+
+
+# Integer numerators over a positive denominator.  A residue vector keys
+# them by missing index and is kept in lowest terms.
+ResidueVector = tuple[dict[int, int], int]
+
+
+def _combine(terms: list[tuple[int, ResidueVector]]) -> ResidueVector:
+    """Σ c·v over the (c, v), as numerators over the lcm of the denominators."""
+    den = 1
+    for _, (_, d) in terms:
+        if den % d:
+            den = lcm(den, d)
+    out: dict[int, int] = {}
+    for c, (nums, d) in terms:
+        factor = c if d == den else c * (den // d)
+        for k, v in nums.items():
+            out[k] = out.get(k, 0) + factor * v
+    return {k: v for k, v in out.items() if v}, den
+
+
+def _lowest_terms(nums: dict[int, int], den: int) -> ResidueVector:
+    """nums/den with the common factor of the numerators and denominator divided out."""
+    g = den if den == 1 else gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: v // g for k, v in nums.items()}, den // g
+
+
+class _Residues:
+    """The residue map ρ of an algebra with a certified missing set, by recurrence.
+
+    K[x] = A ⊕ span{x^(m_k)}, so every f is a member plus Σ ρ_k(f)·x^(m_k)
+    and f lies in A exactly when ρ(f) = 0.  ρ(1) = 0 and ρ(x^(m_k)) = e_k.
+    Any other x^h takes the first generator g_i whose head d_i ≤ h leaves
+    a rest r = h − d_i outside the missing set.  Then x^r·g_i is x^h plus
+    its tail shifted by r, and x^r is a member plus Σ ρ_k(x^r)·x^(m_k), so
+
+        ρ(x^h) = Σ_k ρ_k(x^r)·ρ(x^(m_k)·g_i) − Σ_(u,c ∈ tail g_i) c·ρ(x^(r+u)).
+
+    ρ(x^r) lives on the m_k below r, so every monomial on the right lies
+    below h in the term order and the recurrence is triangular; a memo
+    walks it with an explicit stack.  It reads only the generators and
+    ``report.missing``, never the conditions, so it tests the basis as
+    built.  Generators are scaled to integers once, vectors are held in
+    lowest terms, and the products ρ(x^(m_k)·g_i) are kept per (k, i).
+    A missing set that is not the basis's own can leave a monomial that
+    no generator reaches; that raises ``InvariantError``.  One instance
+    memoizes for one computation; it holds no canonical element.
+    """
+
+    __slots__ = ("missing", "_heads", "_gens", "_holes", "_rho", "_products")
+
+    def __init__(self, basis: SagbiBasis, report: CodimReport):
+        self.missing = tuple(report.missing)
+        self._heads = basis.degrees()
+        self._gens = []  # per generator: (head coefficient, integer terms, integer tail)
+        for g, d in zip(basis.gens, self._heads):
+            terms = integral(dict(g.items()))
+            tail = [(u, c) for u, c in terms.items() if u != d]
+            self._gens.append((terms[d], list(terms.items()), tail))
+        self._holes = frozenset(self.missing)
+        self._rho: dict[Monomial, ResidueVector] = {(0,) * basis.n: ({}, 1)}
+        self._rho.update((m, ({k: 1}, 1)) for k, m in enumerate(self.missing))
+        self._products: dict[tuple[int, int], ResidueVector] = {}
+
+    def vectors(self, monomials: Iterable[Monomial]) -> list[ResidueVector]:
+        """ρ(x^m) for each monomial, in order."""
+        rho = self._rho
+        out = []
+        for mono in monomials:
+            if mono not in rho:
+                self._fill(mono)
+            out.append(rho[mono])
+        return out
+
+    def _split(self, head: Monomial) -> tuple[int, Monomial]:
+        """The first generator whose head leaves a rest outside the missing set."""
+        for i, d in enumerate(self._heads):
+            if all(map(le, d, head)):
+                rest = tuple(map(sub, head, d))
+                if rest not in self._holes:
+                    return i, rest
+        raise InvariantError(f"no generator head reaches {head}, which is not certified missing")
+
+    def _fill(self, root: Monomial) -> None:
+        """Memoize ρ(x^root) and every vector its recurrence reads."""
+        rho, products, missing = self._rho, self._products, self.missing
+        pending: dict[Monomial, tuple[int, Monomial, bool]] = {}  # head -> (i, rest, expanded)
+        stack = [root]  # everything pushed lies below what pushed it
+        while stack:
+            head = stack[-1]
+            if head in rho:
+                stack.pop()
+                continue
+            step = pending.get(head)
+            if step is None:
+                step = pending[head] = (*self._split(head), False)
+                if step[1] not in rho:
+                    stack.append(step[1])
+                    continue
+            i, rest, expanded = step
+            scale, terms, tail = self._gens[i]
+            nums, den = rho[rest]
+            if not expanded:
+                need = [tuple(map(add, rest, u)) for u, _ in tail]
+                for k in nums:
+                    if (k, i) not in products:
+                        need += [tuple(map(add, missing[k], v)) for v, _ in terms]
+                need = [m for m in need if m not in rho]
+                if need:
+                    pending[head] = (i, rest, True)
+                    stack.extend(need)
+                    continue
+            parts = []
+            for k, a in nums.items():
+                product = products.get((k, i))
+                if product is None:
+                    m = missing[k]
+                    product = products[k, i] = _lowest_terms(
+                        *_combine([(c, rho[tuple(map(add, m, v))]) for v, c in terms])
+                    )
+                parts.append((a, (product[0], product[1] * den)))
+            parts += [(-c, rho[tuple(map(add, rest, u))]) for u, c in tail]
+            total, total_den = _combine(parts)
+            rho[head] = _lowest_terms(total, total_den * scale)
+            del pending[head]
+            stack.pop()
 
 
 class _JetShadow:

@@ -3,7 +3,9 @@ import importlib
 import itertools
 import json
 import random
+import re
 import sys
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, lcm
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 import subalg.qn
 import subalg.sagbi
 
-from subalg.cli import Session
+from subalg.cli import Session, main
 from subalg.jets import JetSpace
 from subalg.linalg import Echelon, integral
 from subalg.poly import (
@@ -919,19 +921,28 @@ def test_maximal_ideal_jets_refuse_a_basis_missing_a_generator(monkeypatch):
         maximal_ideal_jets(flt, jets, pts[0])
 
 
+def refuse_canonical_elements(monkeypatch, caller):
+    """Make forming a canonical element, or a span of them, raise.
+
+    ``qn`` no longer imports ``truncated_algebra_basis``; the binding is
+    patched there too in case it comes back.
+    """
+
+    def refuse(*args):
+        raise AssertionError(f"{caller} formed a canonical element")
+
+    monkeypatch.setattr(subalg.sagbi.SagbiBasis, "canonical_element", refuse)
+    monkeypatch.setattr(subalg.sagbi, "truncated_algebra_basis", refuse)
+    monkeypatch.setattr(subalg.qn, "truncated_algebra_basis", refuse, raising=False)
+
+
 @pytest.mark.parametrize("points, level", D_OF_Q_CASES)
 def test_derivation_report_builds_no_canonical_element(monkeypatch, points, level):
     spec = qn_spec(points, level)
     flt = qn_build(spec)
     alpha = spec.points[0]
     expected = verify_d_of_q(points, level, alpha, flt=flt)
-
-    def refuse(*args):
-        raise AssertionError("verify_d_of_q formed a canonical element")
-
-    monkeypatch.setattr(subalg.sagbi.SagbiBasis, "canonical_element", refuse)
-    monkeypatch.setattr(subalg.sagbi, "truncated_algebra_basis", refuse)
-    monkeypatch.setattr(subalg.qn, "truncated_algebra_basis", refuse)
+    refuse_canonical_elements(monkeypatch, "verify_d_of_q")
     closures = []
 
     def counted(*args):
@@ -1388,3 +1399,165 @@ def test_report_json_shape():
         {"check": "ok", "pass": True, "details": {}},
         {"check": "demo", "pass": False, "details": {"why": "because"}},
     ]
+
+
+# -- residue vectors against the canonical-element table --------------
+
+
+def residue_table_by_canonical_elements(basis, report, cap, index):
+    """The residue table read off canonical tails, as ``_residue_table`` once built it.
+
+    Canonical tails lie outside the leading-monomial semigroup, so x^m is
+    congruent to minus its tail when m is a head and is its own residue
+    when m is missing.  Rows share one denominator.
+    """
+    tails = {}
+    for element in truncated_algebra_basis(basis, report, cap):
+        head = element.leading_monomial(basis.order)
+        tails[head] = [(m, c) for m, c in element.terms() if m != head and sum(m) > 0]
+    scale = lcm(1, *(c.denominator for tail in tails.values() for _, c in tail))
+    rows = defaultdict(lambda: [0] * len(index))
+    for head, tail in tails.items():
+        for m, c in tail:
+            rows[m][index[head]] -= int(c * scale)
+    for mono in report.missing:
+        if mono in index:
+            rows[mono][index[mono]] += scale
+    return [row for row in rows.values() if any(row)]
+
+
+def residue_fixtures():
+    """a1–a4, the ladder rungs and the membership benchmark's point sets, per order."""
+    from test_sagbi import MEMBER_QN
+
+    for order in SLICE_ORDERS:
+        for name in ("a1", "a2", "a3", "a4"):
+            session = Session.load(str(SESSIONS / f"{name}.json"), order.name)
+            yield f"{name} {order.name}", session.build()
+        for points, level in dict.fromkeys(LADDER_RUNGS + MEMBER_QN):
+            yield f"{points} N{level} {order.name}", qn_build(qn_spec(points, level), order)
+
+
+def assert_residue_tables_agree(label, flt):
+    """Equal tables on every level of ``flt``, at its conductor and 3 above."""
+    for index, level in enumerate(flt.levels, start=1):
+        for cap in (level.report.conductor, level.report.conductor + 3):
+            _, columns = subalg.qn._monomial_frame(flt.n, cap, flt.order)
+            got = subalg.qn._residue_table(subalg.qn._Residues(level.basis, level.report), columns)
+            want = residue_table_by_canonical_elements(level.basis, level.report, cap, columns)
+            assert Counter(map(tuple, got)) == Counter(map(tuple, want)), (label, index, cap)
+
+
+def test_residue_table_matches_canonical_tails():
+    fixtures = list(residue_fixtures())
+    assert len(fixtures) == 27
+    for label, flt in fixtures:
+        assert_residue_tables_agree(label, flt)
+
+
+def test_residue_table_matches_canonical_tails_on_random_filtrations():
+    from test_properties import random_filtration
+
+    levels = 0
+    for seed in (101, 103, 107):
+        rng = random.Random(seed)
+        for _ in range(40):
+            flt = random_filtration(rng)
+            for order in SLICE_ORDERS:
+                built = build_from_conditions(flt.n, flt.conditions(), order)
+                assert_residue_tables_agree((seed, order.name), built)
+                levels += built.codim
+    assert levels > 0
+
+
+MEMBER_JET_CASES = {
+    **{name: lambda name=name: Session.load(str(SESSIONS / f"{name}.json")).build()
+       for name in ("a1", "a2", "a3", "a4")},
+    # Tails with denominators, and points with them.
+    "space example": lambda: space_example(),
+    "(-1),(1/2) N2": lambda: qn_build(qn_spec([(-1,), (H,)], 2)),
+    "(-1,1/2),(1,0) N2": lambda: qn_build(qn_spec([(-1, H), (1, 0)], 2)),
+}
+
+
+@pytest.mark.parametrize("name", MEMBER_JET_CASES)
+def test_random_member_jets_match_canonical_elements(monkeypatch, name):
+    flt = MEMBER_JET_CASES[name]()
+    report = flt.final_report
+    tables, spaces = [], []
+    draw = subalg.qn._random_combination
+
+    def recorded_draw(rng, one, rows):
+        tables.append([one, *rows])
+        return draw(rng, one, rows)
+
+    def recorded_space(space, functional, alpha, beta, jets):
+        spaces.append(space)
+        return leibniz_on_jets(space, functional, alpha, beta, jets)
+
+    monkeypatch.setattr(subalg.qn, "_random_combination", recorded_draw)
+    monkeypatch.setattr(subalg.qn, "leibniz_on_jets", recorded_space)
+    for point in spectrum(flt).points:
+        tables.clear()
+        spaces.clear()
+        basis = derivation_space(flt, point).basis
+        assert verify_main_theorem(flt, point).passed
+        assert len(tables) == 20 * len(basis) > 0
+        span = truncated_algebra_basis(
+            flt.final_basis, report, report.conductor + max(f.max_order for f in basis)
+        )
+        jets = spaces[0]
+        exact = [jets.jet(f) for f in [Poly.constant(flt.n, 1), *span]]
+        scale = lcm(1, *(v.denominator for row in exact for v in row.values()))
+        want = [{c: int(v * scale) for c, v in row.items()} for row in exact]
+        assert all(table == want for table in tables), (name, point)
+
+
+def test_verification_read_path_forms_no_canonical_element(monkeypatch):
+    points, level = LADDER_RUNGS[0]
+    rung = qn_build(qn_spec(points, level))
+    a4 = Session.load(str(SESSIONS / "a4.json")).build()
+    expected = (
+        verify_qprime_eq_q(points, level, flt=rung),
+        verify_main_theorem(a4, (3, 2, 5)),
+    )
+    refuse_canonical_elements(monkeypatch, "a verifier")
+    assert verify_qprime_eq_q(points, level, flt=rung) == expected[0]
+    assert verify_main_theorem(a4, (3, 2, 5)) == expected[1]
+    assert all(report.passed for report in expected)
+
+
+def without_largest_hole(report, order):
+    """``report`` with its largest missing monomial in ``order`` dropped."""
+    largest = max(report.missing, key=order.key)
+    missing = tuple(m for m in report.missing if m != largest)
+    return dataclasses.replace(report, codim=report.codim - 1, missing=missing), largest
+
+
+def test_residues_refuse_a_missing_set_without_its_largest_hole():
+    for points, level in LADDER_RUNGS:
+        spec = qn_spec(points, level)
+        flt = qn_build(spec)
+        basis, cap = flt.final_basis, flt.final_report.conductor
+        report, largest = without_largest_hole(flt.final_report, flt.order)
+        _, columns = subalg.qn._monomial_frame(flt.n, cap, flt.order)
+        refusal = re.escape(f"no generator head reaches {largest},")
+        with pytest.raises(InvariantError, match=refusal):
+            subalg.qn._residue_table(subalg.qn._Residues(basis, report), columns)
+        ideal = _IdealSlice(spec.points, level, cap, flt.order)
+        with pytest.raises(InvariantError, match="not certified missing"):
+            ideal.rows_outside(basis, report)
+
+
+def test_verify_main_exits_four_on_a_missing_set_without_its_largest_hole(monkeypatch, capsys):
+    residues = subalg.qn._Residues
+    order = Session.load(str(SESSIONS / "a4.json")).order
+    monkeypatch.setattr(
+        subalg.qn,
+        "_Residues",
+        lambda basis, report: residues(basis, without_largest_hole(report, order)[0]),
+    )
+    assert main(["verify-main", str(SESSIONS / "a4.json"), "3,2,5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: no generator head reaches" in captured.err
