@@ -287,21 +287,27 @@ class _IdealSlice:
         is linear and the rows span the slice, so the slice lies in the
         algebra exactly when this list is empty.
         """
-        table = [
-            {col: e for col, e in enumerate(residue) if e}
-            for residue in _residue_table(_Residues(basis, report), self._index)
-        ]
+        # The table indexed by column once: col -> [(residue k, entry)].
+        by_column: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for k, residue in enumerate(_residue_table(_Residues(basis, report), self._index)):
+            for col, e in enumerate(residue):
+                if e:
+                    by_column[col].append((k, e))
         # A stored row is a positive multiple of its RREF row, so it is
         # tested as stored, on integers, and only a failing row is divided.
-        rows = self._echelon.pivot_rows
-        return [
-            Poly(self.n, {self.monos[col]: Fraction(v, row[p]) for col, v in row.items()})
-            for p, row in sorted(rows.items())
-            if any(
-                sum(c * residue[col] for col, c in row.items() if col in residue)
-                for residue in table
-            )
-        ]
+        # Each row sums its residues in one pass over its own entries.
+        outside = []
+        for p, row in sorted(self._echelon.pivot_rows.items()):
+            sums: dict[int, int] = defaultdict(int)
+            for col, c in row.items():
+                for k, e in by_column.get(col, ()):
+                    sums[k] += c * e
+            if any(sums.values()):
+                pivot = row[p]
+                outside.append(
+                    Poly(self.n, {self.monos[col]: Fraction(v, pivot) for col, v in row.items()})
+                )
+        return outside
 
 
 def qprime_membership(

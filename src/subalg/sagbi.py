@@ -20,10 +20,12 @@ A filtration level cuts the kernel of one condition L from the level
 below.  The kernel's semigroup is the level's semigroup without the head
 d of the first generator where L is nonzero, so its canonical element of
 head m is the level's canonical element of m corrected by a multiple of
-that generator.  The kernel step reads its basis off those cached
-elements; the raw products of ``kernel_sagbi_raw`` remain as its oracle.
-A level whose codimension scan has been cross-checked answers semigroup
-membership from its certified holes.
+that generator.  The kernel step reads its basis off those elements;
+the raw products of ``kernel_sagbi_raw`` remain as its oracle.  Each
+step is certified against the level below by a witness search of only
+the monomials it can change (``_certify_step``), and a certified level
+answers semigroup membership from its holes.  The full scan of
+``codimension_certified`` remains as that certificate's oracle.
 
 A build validates each condition on the level's jet shadow: the jets of
 the level at every condition point, held as the echelon of the condition
@@ -34,7 +36,7 @@ polynomials is built for it.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -58,6 +60,7 @@ from .poly import (
     _as_int,
     as_point,
     monomials_of_degree,
+    monomials_up_to,
 )
 
 _ZERO_STEP_GUARD = 10_000
@@ -147,8 +150,8 @@ class SagbiBasis:
             raise ValueError("generators must have pairwise distinct leading monomials")
         self._witness_memo: dict[Monomial, tuple[int, ...] | None] = {}
         self._canon: dict[Monomial, Poly] = {}
-        # The certified missing monomials, set once a codimension scan
-        # has been cross-checked; None means "ask the witness search".
+        # The certified missing monomials, set once a step certificate
+        # has passed; None means "ask the witness search".
         self._holes: frozenset[Monomial] | None = None
 
     def degrees(self) -> tuple[Monomial, ...]:
@@ -180,7 +183,7 @@ class SagbiBasis:
             raise ValueError(f"{mono} is not in the leading-monomial semigroup")
         return self.product_for_exponents(e)
 
-    def canonical_element(self, mono: Monomial) -> Poly:
+    def canonical_element(self, mono: Monomial, product: Poly | None = None) -> Poly:
         """The monic member with head ``mono`` and a tail outside the semigroup.
 
         Peel the first generator with a nonzero witness exponent off the
@@ -190,6 +193,10 @@ class SagbiBasis:
         stack keeps high powers clear of the recursion limit.  On a true
         basis the element is unique, and these elements form a
         triangular vector-space basis of the subalgebra.
+
+        A caller that already holds a monic member with head ``mono``
+        passes it as ``product``; the root is then cleared from it, with
+        no witness search of its own.
         """
         canon = self._canon
         cached = canon.get(mono)
@@ -203,33 +210,36 @@ class SagbiBasis:
             if head in canon:
                 stack.pop()
             elif head in pending:  # its tail's elements are built by now
-                product, tail = pending.pop(head)
-                terms = dict(product.items())
+                found, tail = pending.pop(head)
+                terms = dict(found.items())
                 for m, c in tail:
                     _subtract(terms, c, canon[m])
                 canon[head] = Poly(self.n, terms)
             else:
-                e = self.witness(head)
-                if e is None:  # only the root can miss: rests and tails are members
-                    raise ValueError(f"{head} is not in the leading-monomial semigroup")
-                if not any(e):
-                    canon[head] = Poly.constant(self.n, 1)
-                    continue
-                i = next(k for k, count in enumerate(e) if count)
-                rest = tuple(map(sub, head, self._degrees[i]))
-                if any(rest) and rest not in canon:
-                    stack.append(rest)
-                    continue
-                product = canon[rest] * self.gens[i] if any(rest) else self.gens[i]
+                if head is root and product is not None:
+                    found = product
+                else:
+                    e = self.witness(head)
+                    if e is None:  # only the root can miss: rests and tails are members
+                        raise ValueError(f"{head} is not in the leading-monomial semigroup")
+                    if not any(e):
+                        canon[head] = Poly.constant(self.n, 1)
+                        continue
+                    i = next(k for k, count in enumerate(e) if count)
+                    rest = tuple(map(sub, head, self._degrees[i]))
+                    if any(rest) and rest not in canon:
+                        stack.append(rest)
+                        continue
+                    found = canon[rest] * self.gens[i] if any(rest) else self.gens[i]
                 tail = [
                     (m, c)
-                    for m, c in product.items()
+                    for m, c in found.items()
                     if m != head and self.contains_monomial(m)
                 ]
                 if not tail:  # already canonical; keep the object and its caches
-                    canon[head] = product
+                    canon[head] = found
                     continue
-                pending[head] = (product, tail)
+                pending[head] = (found, tail)
                 stack.extend(m for m, _ in tail)
         return canon[root]
 
@@ -372,61 +382,79 @@ def _pivot(basis: SagbiBasis, functional: LinearFunctional) -> tuple[int, Fracti
     raise NotAProperCondition("functional vanishes on every generator of the algebra")
 
 
-def kernel_sagbi(basis: SagbiBasis, functional: LinearFunctional) -> SagbiBasis:
+def kernel_sagbi(
+    basis: SagbiBasis,
+    functional: LinearFunctional,
+    pivot: tuple[int, Fraction] | None = None,
+) -> SagbiBasis:
     """Minimal basis of the kernel of a valid condition inside the algebra.
 
     With g_j the first generator where L is nonzero and d its head, the
     kernel's semigroup S' is S without d.  Its minimal generators are
     among the heads of ``kernel_sagbi_raw``: the other generators' heads,
     which stay minimal in the smaller S', and the new candidates d + g
-    and 3d.  Taken in term order, a candidate m is reducible in S'
-    exactly when some head g already kept divides it with m - g in S',
-    one semigroup lookup per kept head.  For a minimal head m, with c_m
-    the basis's canonical element, c_m - (L(c_m)/L(g_j))·g_j lies in the
-    kernel, and both tails lie in the missing set, so its tail avoids
-    S': it is the kernel's canonical element with head m.  No product is
-    formed, and L meets only elements of at most codim + 1 terms.
+    and 3d.  A term order is translation-invariant, so the d + g ascend
+    with g, and 3d falls where 2d would among the heads.  A candidate m
+    is reducible in S' exactly when a minimal generator h of S' below it
+    divides it with m - h in S', one semigroup lookup per old head and
+    per candidate kept before m.  The few kept candidates are then merged
+    into the old heads, and no list of candidates is sorted.
+
+    A kept d + g is the head of g_j·g, and 3d of g_j·c_(2d), so
+    ``canonical_element`` clears that product's tail into c_m, the
+    basis's canonical element of m, with no witness search for m.  For
+    every kept head m, c_m - (L(c_m)/L(g_j))·g_j lies in the kernel, and
+    both tails lie in the missing set, so its tail avoids S': it is the
+    kernel's canonical element with head m, and L meets only elements of
+    at most codim + 1 terms.  ``pivot`` is ``_pivot(basis, functional)``
+    when the caller already holds it.
     """
-    j, value = _pivot(basis, functional)
-    degrees = basis.degrees()
-    d = degrees[j]
-    # Generators are their own canonical elements, and L vanishes on the
-    # ones before j.
-    gj = basis.gens[j]
-    vanishing = set(degrees[:j])
-    minimal = {m for i, m in enumerate(degrees) if i != j}
-    heads = minimal | {tuple(map(add, m, d)) for m in degrees}
-    heads.add(tuple(3 * k for k in d))
+    j, value = _pivot(basis, functional) if pivot is None else pivot
+    degrees, gens, key = basis.degrees(), basis.gens, basis.order.key
+    d, gj = degrees[j], gens[j]
+    twice = tuple(2 * k for k in d)
+    candidates = [(tuple(map(add, d, m)), g) for m, g in zip(degrees, gens)]
+    candidates.insert(bisect_left(degrees, key(twice), key=key), (tuple(3 * k for k in d), None))
 
     def in_kernel_semigroup(a: Monomial) -> bool:
         return a != d and basis.contains_monomial(a)
 
-    kept: list[Monomial] = []
-    gens: list[Poly] = []
-    for m in sorted(heads, key=basis.order.key):
-        if m not in minimal and any(
-            all(map(le, g, m)) and in_kernel_semigroup(tuple(map(sub, m, g)))
-            for g in kept
+    old = degrees[:j] + degrees[j + 1 :]
+    tested = list(old)  # the old heads, then each kept candidate
+    new: list[tuple[Monomial, Poly]] = []
+    for m, g in candidates:
+        if any(
+            all(map(le, h, m)) and in_kernel_semigroup(tuple(map(sub, m, h))) for h in tested
         ):
             continue
-        kept.append(m)
-        cm = basis.canonical_element(m)
-        coeff = 0 if m in vanishing else functional.apply(cm)
+        tested.append(m)
+        if g is None:
+            g = basis.canonical_element(twice, gj * gj)
+        new.append((m, basis.canonical_element(m, gj * g)))
+    # Generators are their own canonical elements, and L vanishes on the
+    # ones before j.
+    found = [(m, g, i > j) for i, (m, g) in enumerate(zip(degrees, gens)) if i != j]
+    found += [(m, cm, True) for m, cm in new]
+    corrected: dict[Monomial, Poly] = {}
+    for m, cm, live in found:
+        coeff = functional.apply(cm) if live else 0
         if coeff:
             terms = dict(cm.items())
             _subtract(terms, _as_int(coeff / value), gj)
             cm = Poly(basis.n, terms)
-        gens.append(cm)
+        corrected[m] = cm
     # Only heads above d get a multiple of g_j subtracted, so m stays the head.
-    kernel = SagbiBasis._with_heads(basis.n, basis.order, gens, kept)
+    heads = list(old)
+    at = 0
+    for m, _ in new:  # ascending, so each lands after the one before
+        at = bisect_left(heads, key(m), at, key=key)
+        heads.insert(at, m)
+        at += 1
+    elements = [corrected[m] for m in heads]
+    kernel = SagbiBasis._with_heads(basis.n, basis.order, elements, heads)
     # Each generator is the kernel's canonical element of its head.
-    kernel._canon.update(zip(kept, gens))
+    kernel._canon.update(zip(heads, elements))
     return kernel
-
-
-def dropped_degree(basis: SagbiBasis, functional: LinearFunctional) -> Monomial:
-    """The leading monomial that leaves the semigroup when cutting the kernel."""
-    return basis.degrees()[_pivot(basis, functional)[0]]
 
 
 def variables_basis(n: int, order: TermOrder) -> SagbiBasis:
@@ -453,8 +481,8 @@ class CodimReport:
 def _scan_missing(basis: SagbiBasis, target: int, degree_cap: int) -> list[Monomial]:
     """Monomials outside the semigroup by degree, from the witness search alone.
 
-    This is the independent certificate of a kernel step, so it never
-    reads a hole set.
+    This is the oracle of a build's step certificate, so it never reads
+    a hole set.
     """
     missing: list[Monomial] = []
     degree = 0
@@ -480,6 +508,79 @@ def codimension_certified(basis: SagbiBasis, codim: int) -> CodimReport:
         )
     conductor = 1 + max((sum(m) for m in missing), default=-1)
     return CodimReport(codim, tuple(missing), conductor)
+
+
+def _step_report(kernel: SagbiBasis, dropped: Monomial, report: CodimReport) -> CodimReport:
+    """The kernel's report, searching only the monomials its step can change.
+
+    ``report`` is the level below's, and ``dropped`` the head d that the
+    step removed.  The witness search runs, on the kernel alone, over the
+    monomials componentwise >= d of degree below c' = max(c, |d| + 1),
+    with c the old conductor, and over every monomial of degree from c up
+    to c'.  Outside that window the old report's holes stand.
+    """
+    n, key = kernel.n, kernel.order.key
+    top = max(report.conductor, sum(dropped) + 1)
+    window = {tuple(map(add, dropped, e)) for e in monomials_up_to(n, top - 1 - sum(dropped))}
+    for degree in range(report.conductor, top):
+        window.update(monomials_of_degree(n, degree))
+    # By degree, then term order, as a full scan lists them; the old
+    # report is in that order already.
+    missing = [m for m in report.missing if m not in window]
+    for m in window:
+        if kernel.witness(m) is None:
+            insort(missing, m, key=lambda m: (sum(m), key(m)))
+    conductor = sum(missing[-1]) + 1 if missing else 0
+    return CodimReport(len(missing), tuple(missing), conductor)
+
+
+def _certify_step(
+    below: SagbiBasis, kernel: SagbiBasis, dropped: Monomial, report: CodimReport
+) -> CodimReport:
+    """The kernel's report, certified from the kernel step alone.
+
+    Induction on the levels.  The level below has semigroup S and
+    conductor c; its heads are S's minimal generators, and a monomial of
+    degree below c lies in S exactly when it is not one of H, the holes
+    in ``report``.  The dropped head d is minimal, so S∖{d} is a
+    semigroup, and the kernel's should be it, with holes H ∪ {d} and
+    conductor c' = max(c, |d| + 1).  The step is checked in three parts.
+
+    - Every head of ``below`` except d is a kernel head, and every
+      kernel head lies in S∖{d}, so the kernel's semigroup S' lies in it.
+    - A monomial m that is not componentwise >= d keeps its status:
+      every decomposition of m in S uses heads below m componentwise,
+      none of them d, and those are kernel heads.  So ``_step_report``
+      searches only the monomials >= d below c', and the degrees from c
+      to c', which the level below took on its conductor.  It must find
+      exactly H ∪ {d} missing below c'.
+    - Each kernel head that was not a head of ``below`` is irreducible:
+      no kernel head before it leaves a difference in S'.  Old heads
+      stay minimal in the smaller semigroup.
+
+    Then the report equals ``codimension_certified(kernel, codim)``,
+    whose full scan also stops once it has found the certified
+    codimension.  A failed check raises ``InvariantError``.
+    """
+    fail = "kernel step did not drop exactly the expected monomial"
+    holes = {*report.missing, dropped}
+    heads = kernel.degrees()
+    kept = set(heads)
+    old = set(below.degrees())
+    old.discard(dropped)
+    if not kept >= old:
+        raise InvariantError(f"{fail}: head {min(old - kept)} left too")
+    if not kept.isdisjoint(holes):
+        raise InvariantError(f"{fail}: head {min(kept & holes)} lies outside the semigroup")
+    for m in kept - old:
+        # A head that divides m componentwise comes before it.
+        below_m = heads[: heads.index(m)]
+        if any(all(map(le, g, m)) and tuple(map(sub, m, g)) not in holes for g in below_m):
+            raise InvariantError(f"{fail}: head {m} is reducible")
+    step = _step_report(kernel, dropped, report)
+    if set(step.missing) != holes:
+        raise InvariantError(fail)
+    return step
 
 
 # -- filtrations ------------------------------------------------------
@@ -761,10 +862,12 @@ def build_from_conditions(
     decided on the level's jet shadow (``_JetShadow``): the common kernel
     of the covectors cut so far, in one jet space that is built, or
     refused as too large, before level 1.  A condition vanishes on the
-    level when its covector lies in their span.  The
-    codimension grows by exactly one per level; the scan certificate and
-    the dropped leading monomial are cross-checked on every step, and a
-    cross-checked level answers semigroup membership from its holes.
+    level when its covector lies in their span.  The condition is
+    evaluated on the generators once per level, for the head d it drops.
+    The codimension grows by exactly one per level: ``_certify_step``
+    checks each step against the level below, searching only what the
+    step can change, and a certified level answers semigroup membership
+    from its holes.
     """
     base = variables_basis(n, order)
     base._holes = frozenset()
@@ -777,7 +880,7 @@ def build_from_conditions(
     ]
     shadow = _JetShadow(n, sized) if sized else None
     levels: list[FiltrationLevel] = []
-    missing: set[Monomial] = set()
+    report = CodimReport(0, (), 0)
     for index, condition in enumerate(conditions, start=1):
         functional = condition.functional
         if functional.n != n:
@@ -789,21 +892,19 @@ def build_from_conditions(
         # For a functional that does satisfy the Leibniz rule, vanishing on
         # the generators is vanishing on the whole level, and on its jets.
         try:
-            dropped = dropped_degree(current, functional)
+            pivot = _pivot(current, functional)
         except NotAProperCondition:
-            dropped = None
+            pivot = None
         if not shadow.cut(functional):
-            if dropped is not None:
+            if pivot is not None:
                 raise InvariantError("condition vanishes on its level's jets but not on a generator")
             raise RedundantCondition(index, "condition vanishes on its level")
-        if dropped is None:
+        if pivot is None:
             raise InvariantError("condition vanishes on every generator but not on its level's jets")
-        current = kernel_sagbi(current, functional)
-        report = codimension_certified(current, len(levels) + 1)
-        missing.add(dropped)
-        if set(report.missing) != missing:
-            raise InvariantError("kernel step did not drop exactly the expected monomial")
-        current._holes = frozenset(missing)
+        kernel = kernel_sagbi(current, functional, pivot)
+        report = _certify_step(current, kernel, current.degrees()[pivot[0]], report)
+        kernel._holes = frozenset(report.missing)
+        current = kernel
         levels.append(FiltrationLevel(condition, current, report))
     return ConditionFiltration(n, order, base, levels)
 

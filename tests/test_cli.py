@@ -493,12 +493,12 @@ def test_three_points_verify_main_passes(tmp_path, capsys):
 
 
 def test_invariant_failure_exits_four(monkeypatch, capsys):
-    # A codimension report that misses the dropped monomial breaks the
+    # A step report that misses the dropped monomial breaks the
     # kernel-step invariant inside build_from_conditions.
-    def wrong_report(basis, codim):
-        return CodimReport(codim, (), 0)
+    def wrong_report(kernel, dropped, report):
+        return CodimReport(report.codim + 1, (), 0)
 
-    monkeypatch.setattr("subalg.sagbi.codimension_certified", wrong_report)
+    monkeypatch.setattr("subalg.sagbi._step_report", wrong_report)
     code, out, err = run(capsys, "build", A1)
     assert code == 4
     assert out == ""

@@ -587,6 +587,46 @@ def test_slice_grown_from_independent_products_matches_every_shift():
     assert outside == 33
 
 
+def rows_outside_by_residue(ideal, basis, report):
+    """The per-residue loop ``rows_outside`` replaced, as its oracle.
+
+    One sum per residue row per echelon row, over the row's entries that
+    the residue row covers.
+    """
+    table = [
+        {col: e for col, e in enumerate(residue) if e}
+        for residue in subalg.qn._residue_table(subalg.qn._Residues(basis, report), ideal._index)
+    ]
+    rows = ideal._echelon.pivot_rows
+    return [
+        Poly(ideal.n, {ideal.monos[col]: Fraction(v, row[p]) for col, v in row.items()})
+        for p, row in sorted(rows.items())
+        if any(
+            sum(c * residue[col] for col, c in row.items() if col in residue)
+            for residue in table
+        )
+    ]
+
+
+def test_rows_outside_matches_the_per_residue_loop():
+    # Each algebra against its own slice, which lies inside it, and the
+    # slice one level below, which sticks out.
+    failing = 0
+    for points, level in RESIDUE_CASES + GROWTH_CASES:
+        spec = qn_spec(points, level)
+        for order in SLICE_ORDERS:
+            flt = qn_build(spec, order)
+            basis, report = flt.final_basis, flt.final_report
+            cap = report.conductor + level * len(spec.points)
+            for slice_level in (level, level - 1):
+                ideal = _IdealSlice(spec.points, slice_level, cap, order)
+                got = [format_poly(r) for r in ideal.rows_outside(basis, report)]
+                want = [format_poly(r) for r in rows_outside_by_residue(ideal, basis, report)]
+                assert got == want, (points, level, order.name, slice_level)
+                failing += bool(got)
+    assert failing >= 40
+
+
 def test_slice_growth_adds_only_multiples_of_independent_products(monkeypatch):
     # 2,127 rows for every product times every shift; the growth from
     # independent products adds 582.  The count is deterministic.

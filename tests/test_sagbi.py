@@ -8,7 +8,7 @@ import pytest
 
 import test_properties as invariants
 from subalg import sagbi
-from subalg.cli import Session
+from subalg.cli import Session, main
 from subalg.errors import (
     DimensionMismatch,
     InvalidFiltration,
@@ -36,7 +36,6 @@ from subalg.sagbi import (
     bases_equivalent,
     build_from_conditions,
     codimension_certified,
-    dropped_degree,
     is_member,
     kernel_sagbi,
     kernel_sagbi_raw,
@@ -182,6 +181,19 @@ def test_minimalize_sorts_ascending():
 # -- kernel of one condition ------------------------------------------
 
 
+def dropped_degree(basis, functional):
+    """The head that leaves the semigroup: that of the first generator L is nonzero on.
+
+    The oracle of a build's single pivot pass; it applies L to every
+    generator.
+    """
+    values = [functional.apply(g) for g in basis.gens]
+    j = next((i for i, v in enumerate(values) if v), None)
+    if j is None:
+        raise NotAProperCondition("functional vanishes on every generator of the algebra")
+    return basis.degrees()[j]
+
+
 def test_kernel_first_derivative_at_zero():
     base = variables_basis(1, DEGREVLEX)
     L = LinearFunctional.partial_at((0,), (1,))
@@ -214,6 +226,8 @@ def test_kernel_rejects_vanishing_functional():
         kernel_sagbi_raw(b, L)
     with pytest.raises(NotAProperCondition):
         dropped_degree(b, L)
+    with pytest.raises(NotAProperCondition):
+        kernel_sagbi(b, L)
 
 
 # -- codimension ------------------------------------------------------
@@ -1132,7 +1146,7 @@ def test_shadow_cut_must_agree_with_the_generators(monkeypatch):
     def vanishing(basis, functional):
         raise NotAProperCondition("patched")
 
-    monkeypatch.setattr(sagbi, "dropped_degree", vanishing)
+    monkeypatch.setattr(sagbi, "_pivot", vanishing)
     with pytest.raises(InvariantError, match="vanishes on every generator"):
         build_from_conditions(2, conditions, DEGREVLEX)
 
@@ -1232,3 +1246,233 @@ def test_kernel_heads_are_the_generators_leading_monomials():
         SagbiBasis._with_heads(2, DEGREVLEX, [x1, x2], [(1, 0), (1, 0)])
     with pytest.raises(ValueError, match="distinct leading monomials"):
         SagbiBasis(2, DEGREVLEX, [x1, x1])
+
+
+# -- the step certificate ---------------------------------------------
+
+
+def step_certificate_fixtures():
+    """a1-a4 in three orders, the ladder rungs, two plane points at N=2..8, random filtrations."""
+    out = [
+        (f"{name}/{order.name}", Session.load(str(SESSIONS / f"{name}.json"), order.name).build())
+        for name in SESSION_NAMES
+        for order in ORDERS
+    ]
+    out += [(f"qn{points}N{level}", qn_build(qn_spec(points, level))) for points, level in LADDER_RUNGS]
+    out += [(f"plane N={level}", qn_build(qn_spec([(0, 0), (0, 1)], level))) for level in range(2, 9)]
+    # test_properties' random filtrations at the seeds of its first two tests.
+    for seed in (101, 103):
+        rng = random.Random(seed)
+        out += [(f"random {seed}/{k}", invariants.random_filtration(rng)) for k in range(200)]
+    return out
+
+
+def test_step_reports_equal_the_full_scan():
+    levels = 0
+    for label, flt in step_certificate_fixtures():
+        for index, level in enumerate(flt.levels, start=1):
+            assert level.report == codimension_certified(level.basis, index), (label, index)
+            levels += 1
+    assert levels > 1_100
+
+
+def test_kernel_heads_from_products_equal_the_witness_path():
+    # A kept head d + g is cleared from g_j·g, and 3d from a product of
+    # g_j's; the witness path of a cold copy builds the same element.
+    checked = 0
+    for label, flt in shadow_fixtures():
+        below = flt.base
+        for index, level in enumerate(flt.levels, start=1):
+            functional = level.condition.functional
+            # With no certified holes, the step asks the witness search.
+            assert kernel_sagbi(cold(below), functional).gens == level.basis.gens, (label, index)
+            d = dropped_degree(below, functional)
+            gj = below.gens[below.degrees().index(d)]
+            for m in set(level.basis.degrees()) - set(below.degrees()):
+                rest = tuple(a - b for a, b in zip(m, d))
+                if rest in below.degrees():
+                    product = gj * below.gens[below.degrees().index(rest)]
+                else:
+                    assert rest == tuple(2 * k for k in d)
+                    product = gj * gj * gj
+                by_product = cold(below).canonical_element(m, product)
+                assert by_product == cold(below).canonical_element(m), (label, index, m)
+                checked += 1
+            below = level.basis
+    assert checked > 500
+
+
+def with_generators(basis, pairs):
+    """``basis`` with its (head, generator) pairs replaced by ``pairs``, in term order."""
+    pairs = sorted(pairs, key=lambda pair: basis.order.key(pair[0]))
+    return SagbiBasis._with_heads(
+        basis.n, basis.order, [g for _, g in pairs], [m for m, _ in pairs]
+    )
+
+
+def drop_another_head(below, kernel, d):
+    pairs = list(zip(kernel.degrees(), kernel.gens))
+    other = next((m for m, _ in pairs if m in below.degrees()), None)
+    if other is None:
+        return None
+    return with_generators(kernel, [(m, g) for m, g in pairs if m != other])
+
+
+def keep_the_dropped_head(below, kernel, d):
+    gj = below.gens[below.degrees().index(d)]
+    return with_generators(kernel, [*zip(kernel.degrees(), kernel.gens), (d, gj)])
+
+
+def keep_an_old_hole(below, kernel, d):
+    if below._holes is None or not below._holes:
+        return None
+    hole = min(below._holes)
+    monomial = Poly(kernel.n, {hole: 1})
+    return with_generators(kernel, [*zip(kernel.degrees(), kernel.gens), (hole, monomial)])
+
+
+def keep_a_reducible_candidate(below, kernel, d):
+    first = kernel.degrees()[0]
+    twice = tuple(2 * k for k in first)
+    element = kernel.canonical_element(twice)
+    return with_generators(kernel, [*zip(kernel.degrees(), kernel.gens), (twice, element)])
+
+
+KERNEL_MUTANTS = {
+    "drops another head": drop_another_head,
+    "keeps the dropped head": keep_the_dropped_head,
+    "keeps an old hole": keep_an_old_hole,
+    "keeps a reducible candidate": keep_a_reducible_candidate,
+}
+MUTANTS = (*KERNEL_MUTANTS, "reports a wrong dropped head")
+# The part of the certificate that must catch each mutant.
+CAUGHT_BY = {
+    "drops another head": "left too",
+    "keeps the dropped head": "lies outside the semigroup",
+    "keeps an old hole": "lies outside the semigroup",
+    "keeps a reducible candidate": "is reducible",
+    "reports a wrong dropped head": "left too",
+}
+
+
+def install_mutant(monkeypatch, mutant, at):
+    """Patch the build's kernel step to go wrong at its ``at``-th level.
+
+    Returns the list of levels stepped, and whether the mutant applied.
+    """
+    steps, applied = [], []
+    real_kernel, real_certify = sagbi.kernel_sagbi, sagbi._certify_step
+
+    def kernel_step(basis, functional, pivot=None):
+        kernel = real_kernel(basis, functional, pivot)
+        steps.append(basis)
+        if len(steps) == at and mutant in KERNEL_MUTANTS:
+            mutated = KERNEL_MUTANTS[mutant](basis, kernel, dropped_degree(basis, functional))
+            if mutated is not None:
+                applied.append(mutant)
+                return mutated
+        return kernel
+
+    def certify(below, kernel, dropped, report):
+        if len(steps) == at and mutant not in KERNEL_MUTANTS:
+            others = [m for m in below.degrees() if m != dropped]
+            dropped = others[0] if others else tuple(2 * k for k in dropped)
+            applied.append(mutant)
+        return real_certify(below, kernel, dropped, report)
+
+    monkeypatch.setattr(sagbi, "kernel_sagbi", kernel_step)
+    monkeypatch.setattr(sagbi, "_certify_step", certify)
+    return steps, applied
+
+
+MUTATION_FIXTURES = [(name, lambda name=name: session_filtration(name)) for name in SESSION_NAMES]
+MUTATION_FIXTURES += [
+    (f"qn{points}N{level}", lambda points=points, level=level: qn_build(qn_spec(points, level)))
+    for points, level in LADDER_RUNGS
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_step_mutants_raise_at_their_own_level(monkeypatch, mutant):
+    raised = 0
+    for label, make in MUTATION_FIXTURES:
+        flt = make()
+        for at in range(1, flt.codim + 1):
+            with monkeypatch.context() as patch:
+                steps, applied = install_mutant(patch, mutant, at)
+                try:
+                    build_from_conditions(flt.n, flt.conditions(), flt.order)
+                except InvariantError as error:
+                    message = str(error)
+                    assert message.startswith("kernel step did not drop"), (label, at)
+                    assert message.endswith(CAUGHT_BY[mutant]), (label, at, message)
+                    assert applied == [mutant] and len(steps) == at, (label, at)
+                    raised += 1
+                else:
+                    assert not applied, (label, at)
+    assert raised > 20
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_step_mutants_exit_four_through_build(monkeypatch, capsys, mutant):
+    exits = 0
+    for name in SESSION_NAMES:
+        path = str(SESSIONS / f"{name}.json")
+        last = session_filtration(name).codim
+        with monkeypatch.context() as patch:
+            _, applied = install_mutant(patch, mutant, last)
+            code = main(["build", path])
+            out, err = capsys.readouterr()
+        if applied:
+            assert (code, out) == (4, ""), name
+            assert err.startswith("internal error: kernel step did not drop"), name
+            exits += 1
+    assert exits >= 3
+
+
+# -- work the builds no longer do -------------------------------------
+
+
+def test_builds_never_scan_a_whole_level(monkeypatch, capsys):
+    points, level = LADDER_RUNGS[0]
+    expected = qn_build(qn_spec(points, level))
+    stdout = {}
+    for name in SESSION_NAMES:
+        assert main(["build", str(SESSIONS / f"{name}.json")]) == 0
+        stdout[name] = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a build scanned a whole level for its holes")
+
+    monkeypatch.setattr(sagbi, "_scan_missing", refuse)
+    rung = qn_build(qn_spec(points, level))
+    assert [lv.basis.gens for lv in rung.levels] == [lv.basis.gens for lv in expected.levels]
+    assert [lv.report for lv in rung.levels] == [lv.report for lv in expected.levels]
+    for name in SESSION_NAMES:
+        assert main(["build", str(SESSIONS / f"{name}.json")]) == 0
+        assert capsys.readouterr().out == stdout[name], name
+
+
+def test_builds_apply_each_condition_in_one_pivot_pass(monkeypatch):
+    calls = []
+    real = sagbi._pivot
+
+    def counting(basis, functional):
+        calls.append(basis)
+        return real(basis, functional)
+
+    monkeypatch.setattr(sagbi, "_pivot", counting)
+    levels = 0
+    for label, flt in shadow_fixtures():
+        calls.clear()
+        again = build_from_conditions(flt.n, flt.conditions(), flt.order)
+        assert len(calls) == again.codim == flt.codim, label
+        below = again.base
+        for index, level in enumerate(again.levels, start=1):
+            # The dropped head is the one the oracle finds on every generator.
+            before = set(again.levels[index - 2].report.missing) if index > 1 else set()
+            dropped = set(level.report.missing) - before
+            assert dropped == {dropped_degree(below, level.condition.functional)}, (label, index)
+            below = level.basis
+            levels += 1
+    assert levels > 200
