@@ -282,21 +282,26 @@ class JetSpace:
         b = tuple(y - x for x, y in zip(a, s))
         return self._index[(0, b)], _binomial_product(a, b)
 
-    def functional_covector(self, functional: LinearFunctional) -> SparseRow:
+    def functional_covector(
+        self, functional: LinearFunctional, *, restrict: bool = False
+    ) -> SparseRow:
         """The functional as a row over jet coordinates.
 
         Every atom must sit at a base point with order within the cap,
         so that applying the functional to f equals pairing the row
-        with jet(f).
+        with jet(f).  With ``restrict``, atoms at other points are
+        dropped instead: the row is the functional's part at the base.
         """
         out: SparseRow = {}
         for atom in functional.atoms:
-            if atom.order > self.cap:
-                raise ValueError("functional atom order exceeds the jet cap")
             try:
                 pi = self.points.index(atom.point)
             except ValueError:
+                if restrict:
+                    continue
                 raise ValueError("functional atom at a point outside the jet base")
+            if atom.order > self.cap:
+                raise ValueError("functional atom order exceeds the jet cap")
             c = self._index[(pi, atom.partials)]
             value = out.get(c, Fraction(0)) + atom.coeff
             if value:

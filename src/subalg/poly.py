@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -83,7 +84,7 @@ class TermOrder:
             return (deg, mono)
         # degrevlex: higher degree first, ties broken by the *smallest*
         # exponent on the last variable where they differ.
-        return (deg, tuple(-e for e in reversed(mono)))
+        return (deg, tuple(map(neg, reversed(mono))))
 
     def __eq__(self, other):
         return isinstance(other, TermOrder) and self.name == other.name

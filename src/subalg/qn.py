@@ -452,7 +452,8 @@ def verify_d_of_q(
     m², and the computed basis must lie in their span: its rows of
     values on the jets of m must lie in the row space of theirs.  Both
     checks are (bi)linear in the jets, so they read the certified
-    closure of ``maximal_ideal_jets`` in one jet space.  Its cap reaches
+    closure of ``maximal_ideal_jets`` in one jet space over the point
+    set, which is one cluster as that closure requires.  Its cap reaches
     the expected partials and twice the largest condition order plus
     one, where the derivation basis stops too.
     ``flt`` may pass the filtration ``qn_build`` made for the same

@@ -20,6 +20,14 @@ ideal, and reads its square off the products formed.  The two
 dimensions must agree, and the test suites check that they do; the
 point-set verifier in ``qn`` reads m and m² off the same closure.
 
+Both routes work in one jet space over the point's cluster (the point
+alone off the spectrum).  The jet algebra is Artinian, a product of
+one local ring per cluster, so m/m² and the derivations at a point are
+read on its cluster alone, with the condition covectors restricted to
+it.  The cotangent route still certifies the rank of m on every
+cluster, each in its own space: together these checks hold exactly when
+the check over the whole spectrum does.
+
 Both routes skip a pair of jets whose lowest derivative orders sum
 above the cap at every point: its truncated product is 0.  Where m holds
 only jets of order k or more, as on a point-set algebra, neither forms
@@ -132,8 +140,16 @@ def derivation_space(
     that vanish on the whole algebra (those act as zero).  Candidates
     stop at order 2·max_order + 1: the algebra holds I = ∩ m_p^(max_order+1)
     over the spectrum and alpha, I ⊂ m, so every derivation kills I²
-    and its jets of higher order.  ``spec`` may pass ``spectrum(flt)``
-    when the caller already has it.
+    and its jets of higher order.
+
+    Everything is read in one jet space over alpha's cluster C (alpha
+    alone off the spectrum), with the condition covectors restricted to
+    C.  The candidates live on C, and the algebra's jets split by
+    cluster (see ``cotangent_dimension``), so the jets of m·m seen on
+    the candidates and the combinations that vanish on the algebra span
+    the same spaces as over the whole spectrum; the echelon rows are
+    canonical, so the basis is the same too.  ``spec`` may pass
+    ``spectrum(flt)`` when the caller already has it.
     """
     n = flt.n
     point = as_point(alpha, n)
@@ -143,22 +159,17 @@ def derivation_space(
     cluster = spec.cluster_of(point) if in_spectrum else (point,)
     cand_cap = 2 * flt.max_order + 1 if in_spectrum else 1
     cap = max(cand_cap, flt.max_order)
-    base_points = list(spec.points)
-    if not in_spectrum:
-        base_points.append(point)
-    space = JetSpace(base_points, cap, n)
+    space = JetSpace(cluster, cap, n)
 
-    condition_rows = [space.functional_covector(c.functional) for c in flt.conditions()]
+    condition_rows = _cluster_rows(flt, space)
     eval_row = space.evaluation_covector(point)
     # Only the span of the ideal jets matters here, so they are scaled to
     # integer rows and their products stay on int.
     ideal_jets = [integral(u) for u in kernel_basis(condition_rows + [eval_row], space.dim)]
 
-    candidates: list[tuple[int, Monomial]] = []
-    for p in cluster:
-        pi = space.point_index(p)
-        for a in _ordered_partials(n, 1, cand_cap):
-            candidates.append((pi, a))
+    candidates = [
+        (pi, a) for pi in range(len(cluster)) for a in _ordered_partials(n, 1, cand_cap)
+    ]
     slot_of = {space.index(pi, a): s for s, (pi, a) in enumerate(candidates)}
 
     # Span of jets of m·m, seen through the candidate coordinates only.
@@ -205,6 +216,14 @@ def derivation_space(
     )
 
 
+def _cluster_rows(flt: ConditionFiltration, space: JetSpace) -> list[SparseRow]:
+    """The condition covectors restricted to the base points of ``space``.
+
+    A condition that lives on other clusters gives an empty row.
+    """
+    return [space.functional_covector(c.functional, restrict=True) for c in flt.conditions()]
+
+
 def maximal_ideal_jets(
     flt: ConditionFiltration, space: JetSpace, point: Point
 ) -> tuple[Echelon, Echelon]:
@@ -216,15 +235,32 @@ def maximal_ideal_jets(
     jets of m.  Those products span the jets of m²: a monomial in the
     shifted generators with at least two factors is one with at least
     one factor times some s, and taking jets is a ring homomorphism.
-    ``space`` holds the spectrum and ``point`` up to at least the
-    largest condition order, so the algebra holds the kernel of its jet
-    map and the rank of m is certified as the jet dimension minus one
-    row per condition and one for evaluation.
+
+    The base points of ``space`` must be exactly one cluster C of the
+    final basis, ``point`` among them, and the cap at least the largest
+    condition order.  A base point outside ``point``'s cluster shows as
+    a nonzero order-0 coordinate of some shifted generator jet, and
+    raises ``ValueError`` before any product is formed.  On C the
+    algebra's jets are j(A) ∩ J_C (see ``cotangent_dimension``), the
+    kernel in J_C of the condition covectors restricted to C, so the
+    rank of m is certified as dim J_C minus the rank of those covectors
+    minus one for evaluation.
     """
+    square = Echelon()
+    return _ideal_closure(flt, space, point, square), square
+
+
+def _ideal_closure(
+    flt: ConditionFiltration, space: JetSpace, point: Point, square: Echelon | None
+) -> Echelon:
+    """``maximal_ideal_jets``' echelon of m; products go into ``square`` unless None."""
     shifted = [integral(space.shifted_jet(g, point)) for g in flt.final_basis.gens]
+    origin = (0,) * space.n
+    evaluations = [space.index(pi, origin) for pi in range(len(space.points))]
+    if any(c in u for u in shifted for c in evaluations):
+        raise ValueError("jet base points must lie in the point's cluster")
     table = space.order_table(shifted)
     ideal = Echelon()
-    square = Echelon()
     frontier = list(shifted)
     while frontier:
         row = ideal.add(frontier.pop())
@@ -232,27 +268,50 @@ def maximal_ideal_jets(
             continue
         for j in space.partners(space.lowest_orders(row), table):
             product = space.product(row, shifted[j])
-            square.add(product)
+            if square is not None:
+                square.add(product)
             frontier.append(product)
-    if ideal.rank != space.dim - (flt.codim + 1):
+    conditions = Echelon()
+    for row in _cluster_rows(flt, space):
+        conditions.add(row)
+    if ideal.rank != space.dim - conditions.rank - 1:
         raise InvariantError(
             "maximal ideal span failed to reach its certified jet rank"
         )
-    return ideal, square
+    return ideal
 
 
 def cotangent_dimension(
     flt: ConditionFiltration, alpha, *, spec: Spectrum | None = None
 ) -> int:
-    """dim m/m² at ``alpha``, as rank m − rank m² from ``maximal_ideal_jets``.
+    """dim m/m² at ``alpha``, as rank m − rank m² over ``alpha``'s cluster.
 
     Jets go to twice the largest condition order plus one; derivatives
-    beyond that cannot see the quotient.  ``spec`` may pass
-    ``spectrum(flt)`` when the caller already has it.
+    beyond that cannot see the quotient.  The jet algebra j(A) is
+    finite-dimensional and commutative, so it is a product of local
+    rings, one per cluster (Atiyah–Macdonald, Thm 8.7): its idempotent
+    e_C is 1 on the jets at C and 0 elsewhere, and e_C·j(A) = j(A) ∩ J_C.
+    For alpha in C, j(m) = e_C·j(m) ⊕ (1 − e_C)·j(A), and the second
+    summand is its own square, so dim m/m² is read in J_C alone; off
+    the spectrum alpha is its own cluster.
+
+    The rank certificate runs on every cluster of ``spec``, each shifted
+    at one of its own points, and the square is kept at alpha's only.
+    The clusters come from the generators, so the jets of the algebra
+    they generate split by the same idempotents, and the certificates
+    of all clusters hold exactly when the one over the whole spectrum
+    would.  Certifying alpha's cluster alone would pass a basis that
+    misses a generator whose jets live on another cluster.  ``spec``
+    may pass ``spectrum(flt)`` when the caller already has it.
     """
-    point = as_point(alpha, flt.n)
+    n = flt.n
+    point = as_point(alpha, n)
     if spec is None:
         spec = spectrum(flt)
-    space = JetSpace(sorted(set(spec.points) | {point}), 2 * flt.max_order + 1, flt.n)
-    ideal, square = maximal_ideal_jets(flt, space, point)
+    own = spec.cluster_of(point) or (point,)
+    cap = 2 * flt.max_order + 1
+    ideal, square = maximal_ideal_jets(flt, JetSpace(own, cap, n), point)
+    for cluster in spec.clusters:
+        if cluster != own:
+            _ideal_closure(flt, JetSpace(cluster, cap, n), cluster[0], None)
     return ideal.rank - square.rank

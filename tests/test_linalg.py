@@ -432,7 +432,7 @@ def test_echelon_matches_fraction_oracle_on_library_rows(monkeypatch, run):
     callers = {caller for caller, _ in streams}
     # Builds validate each level on its jet shadow's projection; the
     # echelon check_leibniz keeps is covered in test_functionals.py.
-    assert {"maximal_ideal_jets", "derivation_space", "_JetShadow.project"} <= callers
+    assert {"_ideal_closure", "derivation_space", "_JetShadow.project"} <= callers
     if run is run_ladder:
         assert "_IdealSlice.__init__" in callers
     for _, stream in streams:

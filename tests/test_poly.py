@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -206,6 +207,26 @@ def test_order_respects_multiplication():
                 shifted_u = tuple(a + b for a, b in zip(u, w))
                 shifted_v = tuple(a + b for a, b in zip(v, w))
                 assert order.key(shifted_u) < order.key(shifted_v)
+
+
+def key_by_generator(name, mono):
+    """``TermOrder.key`` with the degrevlex tuple from a generator expression."""
+    if name == "lex":
+        return mono
+    deg = sum(mono)
+    if name == "deglex":
+        return (deg, mono)
+    return (deg, tuple(-e for e in reversed(mono)))
+
+
+@pytest.mark.parametrize("name", ["lex", "deglex", "degrevlex"])
+def test_order_keys_match_the_generator_formula(name):
+    order = TermOrder(name)
+    for n in range(1, 5):
+        monos = set(monomials_up_to(n, 6))
+        assert len(monos) == comb(n + 6, n)
+        for mono in monos:
+            assert order.key(mono) == key_by_generator(name, mono)
 
 
 def test_derivatives_commute():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from subalg.cli import Session
-from subalg.errors import JetSpaceTooLarge, SubalgError
+from subalg.errors import InvariantError, JetSpaceTooLarge, SubalgError
 from subalg.functionals import (
     Condition,
     ConditionKind,
@@ -18,10 +19,15 @@ from subalg.functionals import (
     express_in_span,
 )
 from subalg.jets import MAX_JET_DIM, JetSpace
-from subalg.linalg import Echelon, integral, kernel_basis
+from subalg.linalg import Echelon, integral, kernel_basis, span_within
 from subalg.poly import DEGREVLEX, Poly, as_point, parse_poly
 from subalg.qn import qn_build, qn_spec, verify_d_of_q
-from subalg.sagbi import build_from_conditions, truncated_algebra_basis
+from subalg.sagbi import (
+    ConditionFiltration,
+    SagbiBasis,
+    build_from_conditions,
+    truncated_algebra_basis,
+)
 from subalg.spectrum import (
     DerivationSpace,
     Spectrum,
@@ -29,6 +35,7 @@ from subalg.spectrum import (
     are_equivalent,
     cotangent_dimension,
     derivation_space,
+    maximal_ideal_jets,
     spectrum,
 )
 from test_properties import random_filtration, random_point
@@ -781,4 +788,181 @@ def test_qn_pair_loops_form_no_product(monkeypatch):
     assert products == []
     monkeypatch.setattr(JetSpace, "lowest_orders", lambda self, u: (0,) * len(self.points))
     cotangent_dimension(flt, points[0])
+    assert products
+
+
+# -- oracles: both routes over the whole spectrum ---------------------
+
+
+def spectrum_wide_cotangent(flt, alpha):
+    """``cotangent_dimension`` in one jet space over the spectrum and the
+    point, certified at dim − codim − 1 there."""
+    n = flt.n
+    point = as_point(alpha, n)
+    base_points = sorted(set(spectrum(flt).points) | {point})
+    space = JetSpace(base_points, 2 * flt.max_order + 1, n)
+    shifted = [integral(space.shifted_jet(g, point)) for g in flt.final_basis.gens]
+    table = space.order_table(shifted)
+    ideal, square = Echelon(), Echelon()
+    frontier = list(shifted)
+    while frontier:
+        row = ideal.add(frontier.pop())
+        if row is None:
+            continue
+        for j in space.partners(space.lowest_orders(row), table):
+            product = space.product(row, shifted[j])
+            square.add(product)
+            frontier.append(product)
+    if ideal.rank != space.dim - (flt.codim + 1):
+        raise InvariantError("maximal ideal span failed to reach its certified jet rank")
+    return ideal.rank - square.rank
+
+
+def spectrum_wide_derivation_space(flt, alpha):
+    """``derivation_space`` in one jet space over the spectrum and the point."""
+    n = flt.n
+    point = as_point(alpha, n)
+    spec = spectrum(flt)
+    in_spectrum = point in spec.points
+    cluster = spec.cluster_of(point) if in_spectrum else (point,)
+    cand_cap = 2 * flt.max_order + 1 if in_spectrum else 1
+    base_points = list(spec.points) + ([] if in_spectrum else [point])
+    space = JetSpace(base_points, max(cand_cap, flt.max_order), n)
+
+    condition_rows = [space.functional_covector(c.functional) for c in flt.conditions()]
+    eval_row = space.evaluation_covector(point)
+    ideal_jets = [integral(u) for u in kernel_basis(condition_rows + [eval_row], space.dim)]
+    candidates = [
+        (space.point_index(p), a) for p in cluster for a in _ordered_partials(n, 1, cand_cap)
+    ]
+    slot_of = {space.index(pi, a): s for s, (pi, a) in enumerate(candidates)}
+    square_span = Echelon()
+    for product in space.pair_products(ideal_jets):
+        square_span.add({slot_of[c]: x for c, x in product.items() if c in slot_of})
+    annihilator = kernel_basis(list(square_span.pivot_rows.values()), len(candidates))
+    quotient = Echelon()
+    for z in span_within(condition_rows, list(slot_of), space.dim):
+        quotient.add(z)
+    relations = quotient.rank
+    basis = []
+    for t in annihilator:
+        if quotient.add(t) is None:
+            continue
+        functional = LinearFunctional.zero(n)
+        for slot in sorted(t):
+            pi, a = candidates[slot]
+            functional = functional + LinearFunctional.partial_at(space.points[pi], a, t[slot])
+        basis.append(functional)
+    return DerivationSpace(point, tuple(basis), cand_cap + 1, len(candidates), relations)
+
+
+def assert_matches_spectrum_wide(flt, points):
+    spec = spectrum(flt)
+    for p in points:
+        assert cotangent_dimension(flt, p, spec=spec) == spectrum_wide_cotangent(flt, p), p
+        got, want = derivation_space(flt, p, spec=spec), spectrum_wide_derivation_space(flt, p)
+        assert got.basis == want.basis, p
+        assert got.relations == want.relations, p
+        assert got.candidates == want.candidates, p
+        assert got.ansatz_order == want.ansatz_order, p
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_cluster_routes_match_spectrum_wide_on_sessions(name, order):
+    flt = Session.load(str(SESSIONS / f"{name}.json"), order_override=order).build()
+    assert_matches_spectrum_wide(flt, [*spectrum(flt).points, (7,) * flt.n])
+
+
+@pytest.mark.parametrize("points,level", QN_CASES, ids=QN_IDS)
+def test_cluster_routes_match_spectrum_wide_on_qn(points, level):
+    flt = qn_build(qn_spec(points, level))
+    assert_matches_spectrum_wide(flt, [points[0], (3,) * flt.n])
+
+
+def test_cluster_routes_match_spectrum_wide_on_random_filtrations(seed=109, rounds=40):
+    rng = random.Random(seed)
+    several = 0
+    for _ in range(rounds):
+        flt = random_filtration(rng)
+        spec = spectrum(flt)
+        several += len(spec.clusters) > 1
+        assert_matches_spectrum_wide(flt, [*spec.points, random_point(rng, flt.n, lo=5, hi=9)])
+    assert several > rounds // 10
+
+
+def without_generator(flt, i):
+    """``flt`` with generator i dropped from its final basis."""
+    last = flt.levels[-1]
+    gens = last.basis.gens[:i] + last.basis.gens[i + 1:]
+    level = dataclasses.replace(last, basis=SagbiBasis(flt.n, flt.order, gens))
+    return ConditionFiltration(flt.n, flt.order, flt.base, (*flt.levels[:-1], level))
+
+
+def outcome(route, flt, point):
+    try:
+        return route(flt, point)
+    except InvariantError:
+        return "raises"
+
+
+def test_deficient_bases_fail_as_the_spectrum_wide_certificate_does():
+    fixtures = [Session.load(str(SESSIONS / f"a{k}.json")).build() for k in range(1, 5)]
+    fixtures += [qn_build(qn_spec(points, level)) for points, level in QN_CASES]
+    cases = refused = 0
+    for flt in fixtures:
+        points = [*spectrum(flt).points, (7,) * flt.n]
+        for i in range(len(flt.final_basis.gens)):
+            deficient = without_generator(flt, i)
+            got = [outcome(cotangent_dimension, deficient, p) for p in points]
+            assert got == [outcome(spectrum_wide_cotangent, deficient, p) for p in points], i
+            cases += 1
+            refused += "raises" in got
+    assert (cases, refused) == (80, 65)
+    # a4 without x3^3 - ...: the cluster of (3,2,5) still reaches its rank, the
+    # cluster of (1,0,-1) does not, and every point must refuse the basis.
+    a4 = fixtures[3]
+    heads = [g.leading_monomial(a4.order) for g in a4.final_basis.gens]
+    deficient = without_generator(a4, heads.index((0, 0, 3)))
+    got = [outcome(cotangent_dimension, deficient, p) for p in spectrum(a4).points]
+    assert got == ["raises"] * 3
+
+
+def count_products(monkeypatch):
+    products = []
+    product = JetSpace.product
+
+    def counted(self, u, v):
+        products.append(None)
+        return product(self, u, v)
+
+    monkeypatch.setattr(JetSpace, "product", counted)
+    return products
+
+
+def test_a4_cotangent_forms_fewer_products_than_spectrum_wide(monkeypatch):
+    flt = Session.load(str(SESSIONS / "a4.json")).build()
+    products = count_products(monkeypatch)
+    counts = []
+    for p in spectrum(flt).points:
+        for route in (cotangent_dimension, spectrum_wide_cotangent):
+            products.clear()
+            assert route(flt, p) == 6
+            counts.append(len(products))
+    assert counts == [400, 572, 400, 698, 400, 572]
+
+
+def test_maximal_ideal_jets_refuses_points_outside_the_cluster(monkeypatch):
+    flt = Session.load(str(SESSIONS / "a4.json")).build()
+    spec = spectrum(flt)
+    products = count_products(monkeypatch)
+    whole = JetSpace(spec.points, 2 * flt.max_order + 1, flt.n)
+    for p in spec.points:
+        with pytest.raises(ValueError, match="cluster"):
+            maximal_ideal_jets(flt, whole, p)
+    assert products == []
+    cluster = spec.cluster_of((F(3), F(2), F(5)))
+    space = JetSpace(cluster, 2 * flt.max_order + 1, flt.n)
+    ideal, square = maximal_ideal_jets(flt, space, cluster[1])
+    assert ideal.rank - square.rank == 6
     assert products
