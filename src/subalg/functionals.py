@@ -252,21 +252,37 @@ def leibniz_on_jets(
     """Test L(fg) = f(alpha) L(g) + g(beta) L(f) on an echelon basis of jets.
 
     ``jets`` spans the jets in ``space`` of the algebra being tested, and
-    ``space`` holds the functional's atoms, alpha and beta.  L(fg) is
-    exact up to the space's cap, and it is read without forming fg: one
-    adjoint covector g -> L(fg) per basis jet f, paired with the jets.
-    The defect L(fg) - f(alpha) L(g) - g(beta) L(f) is bilinear in the
-    jets of f and g, so it is tested in both orders on the pairs of the
-    basis only: r adjoints and r(r+1)/2 pairings for jet rank r.
+    ``space`` holds the functional's atoms, alpha and beta.  The test
+    itself is ``leibniz_on_covectors``.
     """
     # The defect is linear in L and bilinear in the jets, so integer
     # multiples of both decide it.
     covector = integral(space.functional_covector(functional))
-    jets = list(jets)
     ev_a, ev_b = space.evaluation_covector(alpha), space.evaluation_covector(beta)
+    return leibniz_on_covectors(space, covector, ev_a, ev_b, jets)
+
+
+def leibniz_on_covectors(
+    space: JetSpace,
+    covector: SparseRow,
+    ev_alpha: SparseRow,
+    ev_beta: SparseRow,
+    jets: Iterable[SparseRow],
+) -> bool:
+    """``leibniz_on_jets`` for L's covector and alpha's and beta's
+    evaluation covectors in ``space``, so that a caller testing one
+    functional on many spans builds them once.
+
+    L(fg) is exact up to the space's cap, and it is read without forming
+    fg: one adjoint covector g -> L(fg) per basis jet f, paired with the
+    jets.  The defect L(fg) - f(alpha) L(g) - g(beta) L(f) is bilinear in
+    the jets of f and g, so it is tested in both orders on the pairs of
+    the basis only: r adjoints and r(r+1)/2 pairings for jet rank r.
+    """
+    jets = list(jets)
     values = [space.pair(covector, u) for u in jets]
-    at_alpha = [space.pair(ev_a, u) for u in jets]
-    at_beta = [space.pair(ev_b, u) for u in jets]
+    at_alpha = [space.pair(ev_alpha, u) for u in jets]
+    at_beta = at_alpha if ev_beta == ev_alpha else [space.pair(ev_beta, u) for u in jets]
     for i, u in enumerate(jets):
         adjoint = space.adjoint(covector, u)
         for j in range(i, len(jets)):

@@ -26,7 +26,7 @@ from operator import add
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import JetSpaceTooLarge
-from .linalg import SparseRow
+from .linalg import Echelon, SparseRow
 from .poly import (
     Monomial,
     Point,
@@ -180,6 +180,27 @@ class JetSpace:
         """Each row's ``lowest_orders``, and the least of them, for ``partners``."""
         lows = [self.lowest_orders(u) for u in rows]
         return lows, [min(low) for low in lows]
+
+    def graded_basis(self, rows: Sequence[SparseRow]) -> list[dict[int, int]]:
+        """An integer echelon basis of the rows' span, pivots lowest order first.
+
+        The echelon runs over the coordinates listed by (order, point,
+        partial), so each basis row has no coordinate of lower order than
+        its pivot at any point, and the rows come in pivot order.  Against
+        the rows themselves, whose lowest orders may all be small, that
+        leaves ``partners`` few rows of low order to pair.  The basis does
+        not depend on the rows' order; sparsest first keeps the fill low.
+        """
+        size, orders = len(self._partials), self._orders
+        graded = sorted(range(self.dim), key=lambda c: (orders[c % size], c // size, c % size))
+        position = {c: g for g, c in enumerate(graded)}
+        echelon = Echelon()
+        for u in sorted(rows, key=len):
+            echelon.add({position[c]: v for c, v in u.items()})
+        return [
+            {graded[g]: v for g, v in echelon.pivot_rows[p].items()}
+            for p in echelon.pivots()
+        ]
 
     def partners(self, low: tuple[int, ...], table: OrderTable, start: int = 0) -> Iterator[int]:
         """The j >= start where a row of lowest orders ``low`` and row j of

@@ -36,7 +36,7 @@ from .functionals import (
     ConditionKind,
     LinearFunctional,
     character_difference,
-    leibniz_on_jets,
+    leibniz_on_covectors,
 )
 from .jets import JetSpace
 from .linalg import Echelon, SparseRow, integral
@@ -687,11 +687,13 @@ def verify_main_theorem(
         points = {point}.union(*(f.points() for f in space.basis))
         jets = JetSpace(sorted(points), max_order, n)
         one, *rows = _canonical_jets(jets, residues, [(0,) * n, *heads])
+        at_point = jets.evaluation_covector(point)
         rng = random.Random(7)
         for functional in space.basis:
+            covector = integral(jets.functional_covector(functional))
             for _ in range(10):
                 pair = [_random_combination(rng, one, rows) for _ in range(2)]
-                bad_pairs += not leibniz_on_jets(jets, functional, point, point, pair)
+                bad_pairs += not leibniz_on_covectors(jets, covector, at_point, at_point, pair)
     items.append(
         CheckItem(
             "leibniz_random_pairs",

@@ -22,9 +22,10 @@ d of the first generator where L is nonzero, so its canonical element of
 head m is the level's canonical element of m corrected by a multiple of
 that generator.  The kernel step reads its basis off those elements;
 the raw products of ``kernel_sagbi_raw`` remain as its oracle.  Each
-step is certified against the level below by a witness search of only
-the monomials it can change (``_certify_step``), and a certified level
-answers semigroup membership from its holes.  The full scan of
+step is certified against the level below by deciding only the
+monomials it can change, each by a lookup of its rests against the
+kernel heads (``_certify_step``), and a certified level answers
+semigroup membership from its holes.  The full scan of
 ``codimension_certified`` remains as that certificate's oracle.
 
 A build validates each condition on the level's jet shadow: the jets of
@@ -511,25 +512,45 @@ def codimension_certified(basis: SagbiBasis, codim: int) -> CodimReport:
 
 
 def _step_report(kernel: SagbiBasis, dropped: Monomial, report: CodimReport) -> CodimReport:
-    """The kernel's report, searching only the monomials its step can change.
+    """The kernel's report, deciding only the monomials its step can change.
 
     ``report`` is the level below's, and ``dropped`` the head d that the
-    step removed.  The witness search runs, on the kernel alone, over the
-    monomials componentwise >= d of degree below c' = max(c, |d| + 1),
-    with c the old conductor, and over every monomial of degree from c up
-    to c'.  Outside that window the old report's holes stand.
+    step removed.  The window holds the monomials componentwise >= d of
+    degree below c' = max(c, |d| + 1), with c the old conductor, and
+    every monomial of degree from c up to c'.  Outside it the old
+    report's holes stand.  Each window monomial m is decided by degree,
+    then term order, without a witness search: m is in the kernel's
+    semigroup exactly when m is 1 or some kernel head h <= m leaves a
+    rest m − h in it.  The rest has lower degree, so a rest in the
+    window is decided already; a rest outside it is not >= d and lies
+    below c, so the level below's holes give its status
+    (``_certify_step``, which checks the heads first).
     """
     n, key = kernel.n, kernel.order.key
     top = max(report.conductor, sum(dropped) + 1)
     window = {tuple(map(add, dropped, e)) for e in monomials_up_to(n, top - 1 - sum(dropped))}
     for degree in range(report.conductor, top):
         window.update(monomials_of_degree(n, degree))
-    # By degree, then term order, as a full scan lists them; the old
-    # report is in that order already.
+    holes = set(report.missing)
+    heads = [h for h in kernel.degrees() if sum(h) < top]
+    member: dict[Monomial, bool] = {}
+
+    def inside(m: Monomial) -> bool:
+        if not any(m):
+            return True
+        for h in heads:
+            if all(map(le, h, m)):
+                rest = tuple(map(sub, m, h))
+                if member[rest] if rest in member else rest not in holes:
+                    return True
+        return False
+
+    for m in sorted(window, key=lambda m: (sum(m), key(m))):
+        member[m] = inside(m)
+    # By degree, then term order, as a full scan lists them.
     missing = [m for m in report.missing if m not in window]
-    for m in window:
-        if kernel.witness(m) is None:
-            insort(missing, m, key=lambda m: (sum(m), key(m)))
+    missing += [m for m, found in member.items() if not found]
+    missing.sort(key=lambda m: (sum(m), key(m)))
     conductor = sum(missing[-1]) + 1 if missing else 0
     return CodimReport(len(missing), tuple(missing), conductor)
 
@@ -551,9 +572,11 @@ def _certify_step(
     - A monomial m that is not componentwise >= d keeps its status:
       every decomposition of m in S uses heads below m componentwise,
       none of them d, and those are kernel heads.  So ``_step_report``
-      searches only the monomials >= d below c', and the degrees from c
-      to c', which the level below took on its conductor.  It must find
-      exactly H ∪ {d} missing below c'.
+      decides only the monomials >= d below c', and the degrees from c
+      to c', which the level below took on its conductor.  It decides
+      each by a lookup, m − h for the kernel heads h <= m, reading a
+      rest outside that window from H by the same argument, so the head
+      checks come first.  It must find exactly H ∪ {d} missing below c'.
     - Each kernel head that was not a head of ``below`` is irreducible:
       no kernel head before it leaves a difference in S'.  Old heads
       stay minimal in the smaller semigroup.
@@ -865,7 +888,7 @@ def build_from_conditions(
     level when its covector lies in their span.  The condition is
     evaluated on the generators once per level, for the head d it drops.
     The codimension grows by exactly one per level: ``_certify_step``
-    checks each step against the level below, searching only what the
+    checks each step against the level below, deciding only what the
     step can change, and a certified level answers semigroup membership
     from its holes.
     """

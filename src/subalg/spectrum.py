@@ -15,9 +15,9 @@ over the spectrum and the point, and I ⊂ m; every derivation kills
 I² = ∩ m_p^2k, so both routes stop at jets of order 2k − 1.  The
 cotangent route never looks at candidate functionals or at the kernel
 of the conditions: ``maximal_ideal_jets`` closes the shifted generator
-jets under products with themselves, certifies the rank of that maximal
-ideal, and reads its square off the products formed.  The two
-dimensions must agree, and the test suites check that they do; the
+jets under products with a basis of their span, certifies the rank of
+that maximal ideal, and reads its square off the products formed.  The
+two dimensions must agree, and the test suites check that they do; the
 point-set verifier in ``qn`` reads m and m² off the same closure.
 
 Both routes work in one jet space over the point's cluster (the point
@@ -31,7 +31,10 @@ the check over the whole spectrum does.
 Both routes skip a pair of jets whose lowest derivative orders sum
 above the cap at every point: its truncated product is 0.  Where m holds
 only jets of order k or more, as on a point-set algebra, neither forms
-a product.
+a product.  The closure's multipliers are an echelon basis of the
+shifted generator jets' span with pivots taken lowest order first, so
+most of them start above order 1 and that skip drops most pairs; m·S
+depends only on the span of S, so nothing else changes.
 """
 
 from __future__ import annotations
@@ -229,12 +232,22 @@ def maximal_ideal_jets(
 ) -> tuple[Echelon, Echelon]:
     """Echelons of the jets of m and of m² at ``point``, by closure.
 
-    S holds the jets of the shifted generators g − g(point).  Each row
-    newly added to the echelon of m is multiplied by every s in S and
-    the product goes back on the frontier, so the echelon closes on the
-    jets of m.  Those products span the jets of m²: a monomial in the
-    shifted generators with at least two factors is one with at least
-    one factor times some s, and taking jets is a ring homomorphism.
+    S holds the jets of the shifted generators g − g(point), each jet
+    scaled to integer entries.  Each row newly added to the
+    echelon of m is multiplied by every row of B, an echelon basis of
+    span(S), and the product goes back on the frontier, so the echelon
+    closes on the jets of m.  Those products span the jets of m²: a
+    monomial in the shifted generators with at least two factors is one
+    with at least one factor times some s, taking jets is a ring
+    homomorphism, and m·span(S) = m·S because the product is bilinear.
+
+    B's pivots are taken lowest derivative order first, by (order,
+    point, partial) (``JetSpace.graded_basis``), so a row of B has no
+    coordinate below its pivot's order.  At a4's spectrum points only
+    2 to 5 of the 16 rows keep order 1, and ``partners`` skips the
+    products whose orders sum above the cap.  Only the multipliers are
+    graded: both echelons keep the space's own columns, so their rows
+    are the RREF rows of the same spans as with S itself.
 
     The base points of ``space`` must be exactly one cluster C of the
     final basis, ``point`` among them, and the cap at least the largest
@@ -253,21 +266,26 @@ def maximal_ideal_jets(
 def _ideal_closure(
     flt: ConditionFiltration, space: JetSpace, point: Point, square: Echelon | None
 ) -> Echelon:
-    """``maximal_ideal_jets``' echelon of m; products go into ``square`` unless None."""
+    """``maximal_ideal_jets``' echelon of m; products go into ``square`` unless None.
+
+    The frontier starts from the graded basis B, lowest order first, and
+    each new row of m is multiplied by B's rows (see ``maximal_ideal_jets``).
+    """
     shifted = [integral(space.shifted_jet(g, point)) for g in flt.final_basis.gens]
     origin = (0,) * space.n
     evaluations = [space.index(pi, origin) for pi in range(len(space.points))]
     if any(c in u for u in shifted for c in evaluations):
         raise ValueError("jet base points must lie in the point's cluster")
-    table = space.order_table(shifted)
+    multipliers = space.graded_basis(shifted)
+    table = space.order_table(multipliers)
+    frontier = multipliers[::-1]  # popped lowest order first
     ideal = Echelon()
-    frontier = list(shifted)
     while frontier:
         row = ideal.add(frontier.pop())
         if row is None:
             continue
         for j in space.partners(space.lowest_orders(row), table):
-            product = space.product(row, shifted[j])
+            product = space.product(row, multipliers[j])
             if square is not None:
                 square.add(product)
             frontier.append(product)

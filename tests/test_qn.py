@@ -55,7 +55,7 @@ from subalg.functionals import (
     character_difference,
     check_leibniz,
     express_in_span,
-    leibniz_on_jets,
+    leibniz_on_covectors,
 )
 
 F = Fraction
@@ -1092,12 +1092,12 @@ def random_pair_checks(monkeypatch, flt, point):
     """``verify_main_theorem``'s random-pair item, and (space, jets, verdict) per draw."""
     checks = []
 
-    def recorded(space, functional, alpha, beta, jets):
-        verdict = leibniz_on_jets(space, functional, alpha, beta, jets)
+    def recorded(space, covector, ev_alpha, ev_beta, jets):
+        verdict = leibniz_on_covectors(space, covector, ev_alpha, ev_beta, jets)
         checks.append((space, jets, verdict))
         return verdict
 
-    monkeypatch.setattr(subalg.qn, "leibniz_on_jets", recorded)
+    monkeypatch.setattr(subalg.qn, "leibniz_on_covectors", recorded)
     report = verify_main_theorem(flt, point)
     (item,) = [item for item in report.items if item.check == "leibniz_random_pairs"]
     return item, checks
@@ -1531,12 +1531,12 @@ def test_random_member_jets_match_canonical_elements(monkeypatch, name):
         tables.append([one, *rows])
         return draw(rng, one, rows)
 
-    def recorded_space(space, functional, alpha, beta, jets):
+    def recorded_space(space, covector, ev_alpha, ev_beta, jets):
         spaces.append(space)
-        return leibniz_on_jets(space, functional, alpha, beta, jets)
+        return leibniz_on_covectors(space, covector, ev_alpha, ev_beta, jets)
 
     monkeypatch.setattr(subalg.qn, "_random_combination", recorded_draw)
-    monkeypatch.setattr(subalg.qn, "leibniz_on_jets", recorded_space)
+    monkeypatch.setattr(subalg.qn, "leibniz_on_covectors", recorded_space)
     for point in spectrum(flt).points:
         tables.clear()
         spaces.clear()

@@ -1,7 +1,9 @@
 import random
 import sys
+from bisect import insort
 from fractions import Fraction
 from math import gcd
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,15 @@ from subalg.functionals import (
 )
 from subalg.jets import JetSpace
 from subalg.linalg import Echelon, integral
-from subalg.poly import DEGREVLEX, Poly, TermOrder, format_poly, monomials_of_degree, parse_poly
+from subalg.poly import (
+    DEGREVLEX,
+    Poly,
+    TermOrder,
+    format_poly,
+    monomials_of_degree,
+    monomials_up_to,
+    parse_poly,
+)
 from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import (
     CodimReport,
@@ -1267,11 +1277,32 @@ def step_certificate_fixtures():
     return out
 
 
+def step_report_by_witness_search(kernel, dropped, report):
+    """``sagbi._step_report`` by the kernel's witness search over the window."""
+    n, key = kernel.n, kernel.order.key
+    top = max(report.conductor, sum(dropped) + 1)
+    window = {tuple(map(add, dropped, e)) for e in monomials_up_to(n, top - 1 - sum(dropped))}
+    for degree in range(report.conductor, top):
+        window.update(monomials_of_degree(n, degree))
+    missing = [m for m in report.missing if m not in window]
+    for m in window:
+        if kernel.witness(m) is None:
+            insort(missing, m, key=lambda m: (sum(m), key(m)))
+    conductor = sum(missing[-1]) + 1 if missing else 0
+    return CodimReport(len(missing), tuple(missing), conductor)
+
+
 def test_step_reports_equal_the_full_scan():
+    # Each step's lookup also equals the witness search over its window.
     levels = 0
     for label, flt in step_certificate_fixtures():
+        below = CodimReport(0, (), 0)
         for index, level in enumerate(flt.levels, start=1):
             assert level.report == codimension_certified(level.basis, index), (label, index)
+            (dropped,) = set(level.report.missing) - set(below.missing)
+            searched = step_report_by_witness_search(level.basis, dropped, below)
+            assert searched == sagbi._step_report(level.basis, dropped, below), (label, index)
+            below = level.report
             levels += 1
     assert levels > 1_100
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -907,6 +908,7 @@ def outcome(route, flt, point):
 
 
 def test_deficient_bases_fail_as_the_spectrum_wide_certificate_does():
+    # ``per_generator_closure``, defined below, must refuse the same bases.
     fixtures = [Session.load(str(SESSIONS / f"a{k}.json")).build() for k in range(1, 5)]
     fixtures += [qn_build(qn_spec(points, level)) for points, level in QN_CASES]
     cases = refused = 0
@@ -916,6 +918,8 @@ def test_deficient_bases_fail_as_the_spectrum_wide_certificate_does():
             deficient = without_generator(flt, i)
             got = [outcome(cotangent_dimension, deficient, p) for p in points]
             assert got == [outcome(spectrum_wide_cotangent, deficient, p) for p in points], i
+            with per_generator_multipliers():
+                assert got == [outcome(cotangent_dimension, deficient, p) for p in points], i
             cases += 1
             refused += "raises" in got
     assert (cases, refused) == (80, 65)
@@ -926,6 +930,105 @@ def test_deficient_bases_fail_as_the_spectrum_wide_certificate_does():
     deficient = without_generator(a4, heads.index((0, 0, 3)))
     got = [outcome(cotangent_dimension, deficient, p) for p in spectrum(a4).points]
     assert got == ["raises"] * 3
+
+
+# -- oracle: the closure multiplied by every shifted generator jet ----
+
+
+def per_generator_closure(flt, space, point, square):
+    """``_ideal_closure`` multiplying each new row of m by every shifted
+    generator jet, not by the graded basis of their span."""
+    shifted = [integral(space.shifted_jet(g, point)) for g in flt.final_basis.gens]
+    origin = (0,) * space.n
+    evaluations = [space.index(pi, origin) for pi in range(len(space.points))]
+    if any(c in u for u in shifted for c in evaluations):
+        raise ValueError("jet base points must lie in the point's cluster")
+    table = space.order_table(shifted)
+    ideal = Echelon()
+    frontier = list(shifted)
+    while frontier:
+        row = ideal.add(frontier.pop())
+        if row is None:
+            continue
+        for j in space.partners(space.lowest_orders(row), table):
+            product = space.product(row, shifted[j])
+            if square is not None:
+                square.add(product)
+            frontier.append(product)
+    conditions = Echelon()
+    for c in flt.conditions():
+        conditions.add(space.functional_covector(c.functional, restrict=True))
+    if ideal.rank != space.dim - conditions.rank - 1:
+        raise InvariantError("maximal ideal span failed to reach its certified jet rank")
+    return ideal
+
+
+@contextmanager
+def per_generator_multipliers():
+    with pytest.MonkeyPatch.context() as patch:
+        module = importlib.import_module("subalg.spectrum")
+        patch.setattr(module, "_ideal_closure", per_generator_closure)
+        yield
+
+
+def closure_outputs(flt, points):
+    """Per point: the pivot rows of m and m² on its cluster, and dim m/m²."""
+    spec = spectrum(flt)
+    out = []
+    for p in points:
+        cluster = spec.cluster_of(as_point(p, flt.n)) or (p,)
+        space = JetSpace(cluster, 2 * flt.max_order + 1, flt.n)
+        ideal, square = maximal_ideal_jets(flt, space, as_point(p, flt.n))
+        out.append((ideal.pivot_rows, square.pivot_rows, cotangent_dimension(flt, p, spec=spec)))
+    return out
+
+
+def assert_matches_per_generator(flt, points):
+    got = closure_outputs(flt, points)
+    with per_generator_multipliers():
+        assert closure_outputs(flt, points) == got
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
+def test_graded_multipliers_match_per_generator_on_sessions(name, order):
+    flt = Session.load(str(SESSIONS / f"{name}.json"), order_override=order).build()
+    assert_matches_per_generator(flt, [*spectrum(flt).points, (7,) * flt.n])
+
+
+@pytest.mark.parametrize("points,level", QN_CASES, ids=QN_IDS)
+def test_graded_multipliers_match_per_generator_on_qn(points, level):
+    flt = qn_build(qn_spec(points, level))
+    assert_matches_per_generator(flt, [*points, (3,) * flt.n])
+
+
+@pytest.mark.parametrize("seed", [107, 109, 113])
+def test_graded_multipliers_match_per_generator_on_random_filtrations(seed, rounds=40):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        flt = random_filtration(rng)
+        spec = spectrum(flt)
+        assert_matches_per_generator(flt, [*spec.points, random_point(rng, flt.n, lo=5, hi=9)])
+
+
+def test_graded_multipliers_span_the_generator_jets():
+    flt = Session.load(str(SESSIONS / "a4.json")).build()
+    spec = spectrum(flt)
+    for cluster in spec.clusters:
+        space = JetSpace(cluster, 2 * flt.max_order + 1, flt.n)
+        shifted = [space.shifted_jet(g, cluster[0]) for g in flt.final_basis.gens]
+        graded = space.graded_basis(shifted)
+        given, basis = Echelon(), Echelon()
+        for u in shifted:
+            given.add(u)
+        for u in graded:
+            basis.add(u)
+        assert basis.pivot_rows == given.pivot_rows
+        assert len(graded) == given.rank
+        # Each row's lowest order is its pivot's, and they rise along the list.
+        lowest = [min(space.lowest_orders(u)) for u in graded]
+        assert lowest == sorted(lowest)
+        assert lowest.count(1) < len(graded)
 
 
 def count_products(monkeypatch):
@@ -949,7 +1052,7 @@ def test_a4_cotangent_forms_fewer_products_than_spectrum_wide(monkeypatch):
             products.clear()
             assert route(flt, p) == 6
             counts.append(len(products))
-    assert counts == [400, 572, 400, 698, 400, 572]
+    assert counts == [125, 572, 125, 698, 125, 572]
 
 
 def test_maximal_ideal_jets_refuses_points_outside_the_cluster(monkeypatch):
