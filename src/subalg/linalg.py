@@ -3,8 +3,8 @@
 Rows enter with ``int`` or ``Fraction`` entries and are scaled to integer
 rows on the way in.  The echelon keeps primitive integer rows and clears
 columns fraction-free, so its arithmetic stays on Python ``int``;
-Fractions appear only at the boundary, where ``rows``, ``kernel_basis``
-and ``solve`` divide each row by its pivot entry once.
+Fractions appear only at the boundary, where ``kernel_basis`` and
+``solve`` divide each row by its pivot entry once.
 """
 
 from __future__ import annotations
@@ -110,15 +110,6 @@ class Echelon:
 
     def contains(self, row: SparseRow) -> bool:
         return not self.reduce(row)
-
-    def rows(self) -> list[SparseRow]:
-        """The RREF rows in pivot order, with Fraction entries."""
-        out = []
-        for p in sorted(self.pivot_rows):
-            row = self.pivot_rows[p]
-            d = row[p]
-            out.append({c: Fraction(v, d) for c, v in row.items()})
-        return out
 
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)

@@ -175,10 +175,6 @@ class Poly:
         """Terms in storage order: cheaper than ``terms()`` where order is moot."""
         return self._terms.items()
 
-    def monomials(self) -> Iterator[Monomial]:
-        for mono, _ in self.terms():
-            yield mono
-
     def leading(self, order: TermOrder) -> tuple[Monomial, Coeff]:
         """Leading (monomial, coefficient) under ``order``."""
         if not self._terms:

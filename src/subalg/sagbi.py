@@ -25,8 +25,7 @@ the raw products of ``kernel_sagbi_raw`` remain as its oracle.  Each
 step is certified against the level below by deciding only the
 monomials it can change, each by a lookup of its rests against the
 kernel heads (``_certify_step``), and a certified level answers
-semigroup membership from its holes.  The full scan of
-``codimension_certified`` remains as that certificate's oracle.
+semigroup membership from its holes.
 
 A build validates each condition on the level's jet shadow: the jets of
 the level at every condition point, held as the echelon of the condition
@@ -479,38 +478,6 @@ class CodimReport:
     conductor: int
 
 
-def _scan_missing(basis: SagbiBasis, target: int, degree_cap: int) -> list[Monomial]:
-    """Monomials outside the semigroup by degree, from the witness search alone.
-
-    This is the oracle of a build's step certificate, so it never reads
-    a hole set.
-    """
-    missing: list[Monomial] = []
-    degree = 0
-    while len(missing) < target and degree <= degree_cap:
-        for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key):
-            if basis.witness(mono) is None:
-                missing.append(mono)
-        degree += 1
-    return missing
-
-
-def codimension_certified(basis: SagbiBasis, codim: int) -> CodimReport:
-    """Codimension report when the codimension is already certified.
-
-    The certificate lets the degree scan stop exactly when ``codim``
-    missing monomials have been found.
-    """
-    cap = (codim + 1) * (basis.max_generator_degree() + 1) + basis.n + 2
-    missing = _scan_missing(basis, codim, cap)
-    if len(missing) != codim:
-        raise InvariantError(
-            f"certified codimension {codim} inconsistent with scan ({len(missing)} found)"
-        )
-    conductor = 1 + max((sum(m) for m in missing), default=-1)
-    return CodimReport(codim, tuple(missing), conductor)
-
-
 def _step_report(kernel: SagbiBasis, dropped: Monomial, report: CodimReport) -> CodimReport:
     """The kernel's report, deciding only the monomials its step can change.
 
@@ -581,8 +548,8 @@ def _certify_step(
       no kernel head before it leaves a difference in S'.  Old heads
       stay minimal in the smaller semigroup.
 
-    Then the report equals ``codimension_certified(kernel, codim)``,
-    whose full scan also stops once it has found the certified
+    Then the report equals the one a witness search of every monomial
+    by degree finds, stopping once it has found the certified
     codimension.  A failed check raises ``InvariantError``.
     """
     fail = "kernel step did not drop exactly the expected monomial"

@@ -10,15 +10,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-import test_properties as invariants
-
-from subalg.functionals import (
-    Condition,
-    ConditionKind,
-    LinearFunctional,
-    character_difference,
-    express_in_span,
-)
+from subalg.functionals import Condition, ConditionKind, LinearFunctional, express_in_span
 from subalg.poly import DEGREVLEX, Poly, format_poly, parse_poly
 from subalg.qn import p_n, pi_n, verify_d_of_q, verify_qprime_eq_q
 from subalg.sagbi import (
@@ -29,21 +21,10 @@ from subalg.sagbi import (
     truncated_algebra_basis,
 )
 from subalg.spectrum import derivation_space, spectrum
+import support
+from support import PLANE_GENERATORS, SPACE_GENERATORS, chardiff_cond, deriv_cond, space_example
 
 F = Fraction
-
-
-def deriv_cond(point, partials, coeff=1):
-    return Condition(
-        LinearFunctional.partial_at(point, partials, coeff),
-        ConditionKind.derivation(point),
-    )
-
-
-def chardiff_cond(alpha, beta, coeff=1):
-    return Condition(
-        character_difference(alpha, beta, coeff), ConditionKind.chardiff(alpha, beta)
-    )
 
 
 def timed(label, limit, body):
@@ -95,8 +76,6 @@ def test_criterion_02_glued_pair():
 
 # -- 3: the two-variable worked example -------------------------------
 
-PLANE_GENERATORS = ["x2", "x1^2", "x1*x2^2 - 2*x1*x2 + x1", "x1^3"]
-
 
 def test_criterion_03_plane_example():
     def body():
@@ -115,40 +94,6 @@ def test_criterion_03_plane_example():
 
 
 # -- 4: the three-variable generated example --------------------------
-
-SPACE_GENERATORS = [
-    "x3^2 - 81/11*x1 - 27/11*x2 + 2*x3",
-    "x2*x3 - 18/11*x1 - 28/11*x2",
-    "x1*x3 - 5*x1 - x3",
-    "x2^2 - 75/11*x1 + 41/11*x2",
-    "x1*x2 - 2*x1 - x2",
-    "x1^2 - 54/11*x1 + 4/11*x2",
-    "x3^3 - 324/11*x1 - 108/11*x2 - 3*x3",
-    "x2*x3^2 - 126/11*x1 - 86/11*x2",
-    "x1*x3^2 - 356/11*x1 - 27/11*x2 + 2*x3",
-    "x2^2*x3 - 186/11*x1 + 70/11*x2",
-    "x1*x2*x3 - 128/11*x1 - 28/11*x2",
-    "x1^2*x3 - 270/11*x1 + 20/11*x2 - x3",
-    "x2^3 + 300/11*x1 - 197/11*x2",
-    "x1*x2^2 - 119/11*x1 + 41/11*x2",
-    "x1^2*x2 - 108/11*x1 - 3/11*x2",
-    "x1^3 - 213/11*x1 + 28/11*x2",
-]
-
-
-def space_example():
-    mixed = LinearFunctional.partial_at((3, 2, 5), (1, 0, 0)) + (
-        LinearFunctional.partial_at((1, -3, 2), (0, 1, 0), -3)
-    )
-    return build_from_conditions(
-        3,
-        [
-            deriv_cond((1, 0, -1), (0, 0, 1)),
-            chardiff_cond((3, 2, 5), (1, -3, 2)),
-            Condition(mixed, ConditionKind.derivation((3, 2, 5))),
-        ],
-        DEGREVLEX,
-    )
 
 
 def test_criterion_04_space_example():
@@ -192,7 +137,7 @@ def test_criterion_05_derivation_space_dimensions():
 
     def directional_kernel(n):
         alpha = tuple(F(rng.randint(-2, 2)) for _ in range(n))
-        u = invariants.random_direction(rng, n)
+        u = support.random_direction(rng, n)
         flt = build_from_conditions(
             n,
             [
@@ -333,13 +278,13 @@ def test_criterion_08_descriptions_agree():
 
 def test_criterion_09_random_invariants():
     suites = [
-        invariants.test_subduction_reaches_an_irreducible_remainder,
-        invariants.test_missing_monomials_grow_one_per_level,
-        invariants.test_far_conditions_leave_local_dimension_alone,
-        invariants.test_gluing_two_clusters_adds_their_dimensions,
-        invariants.test_dimension_bounded_by_generator_count,
-        invariants.test_product_rule_expansions_match_direct_derivatives,
-        invariants.test_each_gluing_merges_one_cluster,
+        support.test_subduction_reaches_an_irreducible_remainder,
+        support.test_missing_monomials_grow_one_per_level,
+        support.test_far_conditions_leave_local_dimension_alone,
+        support.test_gluing_two_clusters_adds_their_dimensions,
+        support.test_dimension_bounded_by_generator_count,
+        support.test_product_rule_expansions_match_direct_derivatives,
+        support.test_each_gluing_merges_one_cluster,
     ]
 
     def body():
@@ -356,5 +301,5 @@ def test_criterion_10_membership_oracle():
     timed(
         "criterion 10 (membership oracle)",
         120.0,
-        invariants.test_membership_matches_linear_algebra,
+        support.test_membership_matches_linear_algebra,
     )

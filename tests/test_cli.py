@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,15 +15,14 @@ from subalg import cli, qn, sagbi
 from subalg.qn import CheckItem, Report
 from subalg.sagbi import CodimReport
 from subalg.spectrum import derivation_space
-
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+from support import SESSIONS
 
 A1 = str(SESSIONS / "a1.json")
 A2 = str(SESSIONS / "a2.json")
 A3 = str(SESSIONS / "a3.json")
 A4 = str(SESSIONS / "a4.json")
 PLANE = str(SESSIONS / "qn-two-points.json")
-BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+BENCH_GOLDEN = SESSIONS.parent / "bench" / "golden"
 # The benchmark's `verify` tasks with their exit codes and stdout.
 VERIFY_GOLDEN = json.loads((BENCH_GOLDEN / "verify.json").read_text())
 
@@ -561,10 +559,13 @@ def test_degree_cap_env_rejected(monkeypatch, capsys):
 
 
 def test_module_entry_point_matches_golden():
+    # ``-m`` puts the working directory first on sys.path, so this runs
+    # the source tree whether or not the package is installed.
     proc = subprocess.run(
         [sys.executable, "-m", "subalg.cli", "build", A1],
         capture_output=True,
         text=True,
+        cwd=SESSIONS.parent / "src",
     )
     assert proc.returncode == 0
     assert proc.stdout == A1_BUILD_TEXT

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,18 +18,12 @@ from subalg.functionals import (
 )
 from subalg.jets import JetSpace
 from subalg.linalg import Echelon
-from subalg.poly import DEGREVLEX, Poly, TermOrder, as_point, parse_poly
+from subalg.poly import DEGREVLEX, Poly, TermOrder, as_point
 from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import CodimReport, build_from_conditions, truncated_algebra_basis
-from test_properties import random_conditions
-from test_qn import LADDER_RUNGS
+from support import LADDER_RUNGS, SESSIONS, P, random_conditions, session_filtration
 
 F = Fraction
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
-
-
-def P(text, n):
-    return parse_poly(text, n)
 
 
 def test_partial_atom_apply():
@@ -253,7 +246,7 @@ def level_spans(flt):
 
 def filtrations():
     for name in ("a1", "a2", "a3", "a4"):
-        yield Session.load(str(SESSIONS / f"{name}.json")).build()
+        yield session_filtration(name)
     yield qn_build(qn_spec([(0, 0), (0, 1)], 2))
     yield qn_build(qn_spec([(0,), (1,), (2,)], 3))
 
@@ -411,7 +404,7 @@ def compare_build_verdicts(monkeypatch):
 def test_build_levels_match_the_product_path(monkeypatch, order):
     verdicts = compare_build_verdicts(monkeypatch)
     for name in ("a1", "a2", "a3", "a4"):
-        Session.load(str(SESSIONS / f"{name}.json"), order_override=order).build()
+        session_filtration(name, order)
     assert len(verdicts) == 2 + 1 + 2 + 3
     for points, level in LADDER_RUNGS:
         qn_build(qn_spec(points, level), TermOrder(order))

@@ -1,20 +1,17 @@
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from subalg.cli import Session
 from subalg.jets import JetSpace
 from subalg.linalg import Echelon, SpanWithin, integral, kernel_basis, solve, span_within
 from subalg.poly import Poly
 from subalg.qn import qn_build, qn_spec, verify_qprime_eq_q
 from subalg.spectrum import cotangent_dimension, derivation_space, spectrum
+from support import LADDER_RUNGS, rref_rows, session_filtration
 
 F = Fraction
-
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
 
 # -- the former Fraction core, kept as an oracle ----------------------
@@ -112,7 +109,7 @@ def assert_matches_oracle(stream, probes=()):
             assert all(F(v, stored[pivot]) == normalized[c] for c, v in stored.items())
     assert ech.rank == oracle.rank
     assert ech.pivots() == oracle.pivots()
-    assert ech.rows() == oracle.rows()
+    assert rref_rows(ech) == oracle.rows()
     for probe in list(probes) + list(stream[:5]):
         assert ech.contains(probe) == oracle.contains(probe)
     ncols = 1 + max((c for row in stream for c in row), default=0)
@@ -142,7 +139,7 @@ def dense_rref(matrix):
     for row in matrix:
         ech.add(_to_sparse(row))
     ncols = max((len(r) for r in matrix), default=0)
-    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in ech.rows()]
+    dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rref_rows(ech)]
     return dense, ech.pivots()
 
 
@@ -179,7 +176,7 @@ def dense_solve(matrix, rhs):
     if ncols in ech.pivot_rows:
         return None
     solution = [Fraction(0)] * ncols
-    for pivot, row in zip(ech.pivots(), ech.rows()):
+    for pivot, row in zip(ech.pivots(), rref_rows(ech)):
         solution[pivot] = row.get(ncols, Fraction(0))
     return solution
 
@@ -200,7 +197,7 @@ def test_rref_small():
     for row in [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 7}, {2: 1}]:
         ech.add(row)
     assert ech.pivots() == [0, 2]
-    assert ech.rows() == [{0: F(1), 1: F(2)}, {2: F(1)}]
+    assert rref_rows(ech) == [{0: F(1), 1: F(2)}, {2: F(1)}]
 
 
 def test_rank():
@@ -300,7 +297,7 @@ def test_span_within_matches_dense_oracle():
         for row in found:
             assert all(type(v) is int for v in row.values())
             assert ech.add(row) is not None  # a basis: independent rows
-        reduced = [densify(row, len(columns)) for row in ech.rows()]
+        reduced = [densify(row, len(columns)) for row in rref_rows(ech)]
         expected = [row for row in dense_span_within(matrix, columns, ncols) if any(row)]
         assert reduced == expected, (matrix, columns)
         nonempty += bool(found) and len(columns) < ncols
@@ -400,17 +397,9 @@ def library_streams(monkeypatch, run):
     return list(streams.values())
 
 
-LADDER_RUNGS = [
-    ([(0, 0), (0, 1), (1, 0)], 2),
-    ([(0, 0), (1, 1)], 3),
-    ([(0, 0, 0), (1, 0, 0)], 2),
-    ([(0,), (1,), (2,)], 3),
-]
-
-
 def run_sessions():
     for name in ("a1", "a2", "a3", "a4"):
-        flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+        flt = session_filtration(name)
         spec = spectrum(flt)
         for point in spec.points:
             derivation_space(flt, point, spec=spec)
@@ -444,7 +433,7 @@ def test_echelon_matches_fraction_oracle_on_unscaled_generator_jets():
     # them: a4's generators carry /11 coefficients into them.
     denominators = set()
     for name in ("a1", "a2", "a3", "a4"):
-        flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+        flt = session_filtration(name)
         spec = spectrum(flt)
         for point in spec.points:
             space = JetSpace(spec.points, 2 * flt.max_order + 1, flt.n)
@@ -466,11 +455,6 @@ def test_boundary_values_are_fractions():
             {c: rng.randint(-5, 5) for c in range(ncols) if rng.random() < 0.7}
             for _ in range(rng.randint(1, 5))
         ]
-        ech = Echelon()
-        for row in rows:
-            ech.add(row)
-        for row in ech.rows():
-            assert all(type(v) is Fraction for v in row.values())
         for vec in kernel_basis(rows, ncols):
             assert all(type(v) is Fraction for v in vec.values())
         rhs = [rng.randint(-5, 5) for _ in rows]

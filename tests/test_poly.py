@@ -20,13 +20,9 @@ from subalg.poly import (
     parse_poly,
     partials_from_indices,
 )
-from test_qn import translate
+from support import P, translate
 
 F = Fraction
-
-
-def P(text, n):
-    return parse_poly(text, n)
 
 
 def random_poly(rng, n, max_degree, max_terms):

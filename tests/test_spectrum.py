@@ -5,17 +5,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import add
-from pathlib import Path
 
 import pytest
 
-from subalg.cli import Session
 from subalg.errors import InvariantError, JetSpaceTooLarge, SubalgError
 from subalg.functionals import (
     Condition,
     ConditionKind,
     LinearFunctional,
-    character_difference,
     check_leibniz,
     express_in_span,
 )
@@ -39,46 +36,12 @@ from subalg.spectrum import (
     maximal_ideal_jets,
     spectrum,
 )
-from test_properties import random_filtration, random_point
-from test_qn import ansatz_bound, translate
+from support import (
+    ansatz_bound, chain_a1, chardiff_cond, deriv_cond, random_filtration, random_point, rref_rows,
+    session_filtration, space_example, translate,
+)
 
 F = Fraction
-
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
-
-
-def deriv_cond(point, partials, coeff=1):
-    return Condition(
-        LinearFunctional.partial_at(point, partials, coeff),
-        ConditionKind.derivation(point),
-    )
-
-
-def chardiff_cond(alpha, beta, coeff=1):
-    return Condition(
-        character_difference(alpha, beta, coeff), ConditionKind.chardiff(alpha, beta)
-    )
-
-
-def chain_a1():
-    return build_from_conditions(
-        1, [deriv_cond((0,), (1,)), deriv_cond((0,), (2,))], DEGREVLEX
-    )
-
-
-def chain_a4():
-    mixed = LinearFunctional.partial_at((3, 2, 5), (1, 0, 0)) + (
-        LinearFunctional.partial_at((1, -3, 2), (0, 1, 0), -3)
-    )
-    return build_from_conditions(
-        3,
-        [
-            deriv_cond((1, 0, -1), (0, 0, 1)),
-            chardiff_cond((3, 2, 5), (1, -3, 2)),
-            Condition(mixed, ConditionKind.derivation((3, 2, 5))),
-        ],
-        DEGREVLEX,
-    )
 
 
 # -- jets -------------------------------------------------------------
@@ -290,7 +253,7 @@ def test_spectrum_single_cluster():
 
 
 def test_spectrum_a4():
-    sp = spectrum(chain_a4())
+    sp = spectrum(space_example())
     assert sp.points == (
         (F(1), F(-3), F(2)),
         (F(1), F(0), F(-1)),
@@ -300,11 +263,11 @@ def test_spectrum_a4():
         ((F(1), F(-3), F(2)), (F(3), F(2), F(5))),
         ((F(1), F(0), F(-1)),),
     )
-    assert ansatz_bound(chain_a4()) == 4
+    assert ansatz_bound(space_example()) == 4
 
 
 def test_are_equivalent():
-    a4 = chain_a4()
+    a4 = space_example()
     basis = a4.final_basis
     assert are_equivalent((3, 2, 5), (1, -3, 2), basis)
     assert are_equivalent((3, 2, 5), (3, 2, 5), basis)
@@ -312,7 +275,7 @@ def test_are_equivalent():
 
 
 def test_cluster_of():
-    sp = spectrum(chain_a4())
+    sp = spectrum(space_example())
     assert sp.cluster_of((F(3), F(2), F(5))) == (
         (F(1), F(-3), F(2)),
         (F(3), F(2), F(5)),
@@ -421,7 +384,7 @@ def test_codim_one_chardiff():
 
 
 def test_a4_derivation_spaces():
-    a4 = chain_a4()
+    a4 = space_example()
     at_glued = derivation_space(a4, (3, 2, 5))
     assert at_glued.dimension == 6
     assert at_glued.relations == 1
@@ -435,7 +398,7 @@ def test_a4_derivation_spaces():
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
 def test_derivation_basis_coefficients_are_fractions(name):
-    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    flt = session_filtration(name)
     spec = spectrum(flt)
     for point in spec.points:
         for functional in derivation_space(flt, point, spec=spec).basis:
@@ -443,7 +406,7 @@ def test_derivation_basis_coefficients_are_fractions(name):
 
 
 def test_derivation_basis_satisfies_leibniz():
-    a4 = chain_a4()
+    a4 = space_example()
     report = a4.final_report
     span = truncated_algebra_basis(a4.final_basis, report, 4)
     ds = derivation_space(a4, (3, 2, 5))
@@ -455,7 +418,7 @@ def test_derivation_basis_satisfies_leibniz():
 
 
 def test_derivation_dimension_bounded_by_generators():
-    for flt in (chain_a1(), chain_a4()):
+    for flt in (chain_a1(), space_example()):
         for p in spectrum(flt).points:
             ds = derivation_space(flt, p)
             assert ds.dimension <= len(flt.final_basis.gens)
@@ -541,7 +504,7 @@ def cotangent_by_scan(flt, alpha):
         pass
     assert ideal_span.rank == target_rank
 
-    ideal_rows = ideal_span.rows()
+    ideal_rows = rref_rows(ideal_span)
     square_span = Echelon()
     for i, u in enumerate(ideal_rows):
         for v in ideal_rows[i:]:
@@ -601,7 +564,7 @@ def derivation_space_by_transposed_kernel(flt, alpha):
                 covered.add(slot)
             square_span.add(projected)
 
-    annihilator = kernel_basis(square_span.rows(), len(candidates))
+    annihilator = kernel_basis(rref_rows(square_span), len(candidates))
 
     transposed = {}
     for j, row in enumerate(condition_rows):
@@ -623,7 +586,7 @@ def derivation_space_by_transposed_kernel(flt, alpha):
             vanishing.append(combo)
 
     for z in vanishing:
-        for row in square_span.rows():
+        for row in rref_rows(square_span):
             assert space.pair(z, row) == 0
 
     quotient = Echelon()
@@ -652,7 +615,7 @@ def derivation_space_by_transposed_kernel(flt, alpha):
 
 def session_points(name):
     """A session's filtration with every spectrum point and one point off it."""
-    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    flt = session_filtration(name)
     return flt, list(spectrum(flt).points) + [(7,) * flt.n]
 
 
@@ -747,7 +710,7 @@ def spaces_and_dimensions(flt, point, spec):
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
 def test_unpruned_pair_loops_agree_on_sessions(name):
-    flt = Session.load(str(SESSIONS / f"{name}.json")).build()
+    flt = session_filtration(name)
     spec = spectrum(flt)
     outside = [(7,) * flt.n, (F(1, 2),) * flt.n]
     assert not set(outside) & set(spec.points)
@@ -871,7 +834,7 @@ def assert_matches_spectrum_wide(flt, points):
 @pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
 def test_cluster_routes_match_spectrum_wide_on_sessions(name, order):
-    flt = Session.load(str(SESSIONS / f"{name}.json"), order_override=order).build()
+    flt = session_filtration(name, order)
     assert_matches_spectrum_wide(flt, [*spectrum(flt).points, (7,) * flt.n])
 
 
@@ -909,7 +872,7 @@ def outcome(route, flt, point):
 
 def test_deficient_bases_fail_as_the_spectrum_wide_certificate_does():
     # ``per_generator_closure``, defined below, must refuse the same bases.
-    fixtures = [Session.load(str(SESSIONS / f"a{k}.json")).build() for k in range(1, 5)]
+    fixtures = [session_filtration(f"a{k}") for k in range(1, 5)]
     fixtures += [qn_build(qn_spec(points, level)) for points, level in QN_CASES]
     cases = refused = 0
     for flt in fixtures:
@@ -992,7 +955,7 @@ def assert_matches_per_generator(flt, points):
 @pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4"])
 def test_graded_multipliers_match_per_generator_on_sessions(name, order):
-    flt = Session.load(str(SESSIONS / f"{name}.json"), order_override=order).build()
+    flt = session_filtration(name, order)
     assert_matches_per_generator(flt, [*spectrum(flt).points, (7,) * flt.n])
 
 
@@ -1012,7 +975,7 @@ def test_graded_multipliers_match_per_generator_on_random_filtrations(seed, roun
 
 
 def test_graded_multipliers_span_the_generator_jets():
-    flt = Session.load(str(SESSIONS / "a4.json")).build()
+    flt = session_filtration("a4")
     spec = spectrum(flt)
     for cluster in spec.clusters:
         space = JetSpace(cluster, 2 * flt.max_order + 1, flt.n)
@@ -1044,7 +1007,7 @@ def count_products(monkeypatch):
 
 
 def test_a4_cotangent_forms_fewer_products_than_spectrum_wide(monkeypatch):
-    flt = Session.load(str(SESSIONS / "a4.json")).build()
+    flt = session_filtration("a4")
     products = count_products(monkeypatch)
     counts = []
     for p in spectrum(flt).points:
@@ -1056,7 +1019,7 @@ def test_a4_cotangent_forms_fewer_products_than_spectrum_wide(monkeypatch):
 
 
 def test_maximal_ideal_jets_refuses_points_outside_the_cluster(monkeypatch):
-    flt = Session.load(str(SESSIONS / "a4.json")).build()
+    flt = session_filtration("a4")
     spec = spectrum(flt)
     products = count_products(monkeypatch)
     whole = JetSpace(spec.points, 2 * flt.max_order + 1, flt.n)
