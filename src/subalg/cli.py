@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -114,16 +113,12 @@ def _condition(obj, n: int) -> Condition:
     raise SessionError(f"unknown condition type {kind!r}")
 
 
-def _format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _format_point(point: Point) -> str:
-    return "(" + ",".join(_format_rational(c) for c in point) + ")"
+    return "(" + ",".join(map(str, point)) + ")"
 
 
 def _point_json(point: Point) -> list[str]:
-    return [_format_rational(c) for c in point]
+    return [str(c) for c in point]
 
 
 def condition_to_json(cond: Condition) -> dict:
@@ -137,7 +132,7 @@ def condition_to_json(cond: Condition) -> dict:
             "type": "chardiff",
             "alpha": _point_json(cond.kind.alpha),
             "beta": _point_json(cond.kind.beta),
-            "c": _format_rational(coeff),
+            "c": str(coeff),
         }
     return functional_to_derivation_json(cond.functional, cond.kind.alpha)
 
@@ -148,7 +143,7 @@ def functional_to_derivation_json(functional: LinearFunctional, point: Point) ->
     for atom in functional.atoms:
         terms.append(
             {
-                "coeff": _format_rational(atom.coeff),
+                "coeff": str(atom.coeff),
                 "partials": indices_from_partials(atom.partials),
                 "point": _point_json(atom.point),
             }
@@ -344,8 +339,7 @@ def _cmd_derivations(session: Session, args) -> int:
 def _cmd_verify_main(session: Session, args) -> int:
     flt = session.build()
     point = _parse_cli_point(args.point, session.n)
-    cap = _env_degree_cap()
-    report = verify_main_theorem(flt, point, containment_cap=cap)
+    report = verify_main_theorem(flt, point)
     text, machine = render_report(report)
     _emit(machine, args.json, text)
     return 0 if report.passed else 3
@@ -368,28 +362,12 @@ def _cmd_qn(session: Session, args) -> int:
             },
         )
     ]
-    cap = _env_degree_cap()
-    items.extend(
-        verify_qprime_eq_q(points, level, session.order, degree_cap=cap, flt=flt).items
-    )
+    items.extend(verify_qprime_eq_q(points, level, session.order, flt=flt).items)
     items.extend(verify_d_of_q(points, level, spec.points[0], session.order, flt=flt).items)
     report = Report(tuple(items))
     text, machine = render_report(report)
     _emit(machine, args.json, text)
     return 0 if report.passed else 3
-
-
-def _env_degree_cap() -> int | None:
-    raw = os.environ.get("SUBALG_MAX_DEGREE")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SessionError(f"SUBALG_MAX_DEGREE must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise SessionError("SUBALG_MAX_DEGREE must be positive")
-    return value
 
 
 # -- argument plumbing ------------------------------------------------

@@ -99,10 +99,6 @@ class TermOrder:
 DEGREVLEX = TermOrder("degrevlex")
 
 
-def _canonical_sort_key(mono: Monomial):
-    return DEGREVLEX.key(mono)
-
-
 class Poly:
     """An immutable sparse polynomial; the constructor stores integral coefficients as ``int``."""
 
@@ -167,7 +163,7 @@ class Poly:
         """Terms sorted by descending degrevlex, independent of any active order."""
         if self._sorted is None:
             self._sorted = sorted(
-                self._terms.items(), key=lambda kv: _canonical_sort_key(kv[0]), reverse=True
+                self._terms.items(), key=lambda kv: DEGREVLEX.key(kv[0]), reverse=True
             )
         return self._sorted
 

@@ -366,42 +366,38 @@ def verify_qprime_eq_q(
     points: Sequence[Sequence],
     level: int,
     order: TermOrder = DEGREVLEX,
-    degree_cap: int | None = None,
     *,
     flt: ConditionFiltration | None = None,
 ) -> Report:
     """Check both inclusions between the two descriptions of the algebra.
 
-    With D the certified conductor plus the ideal generation degree:
-    every basis generator must land in the constants-plus-ideal slice,
-    the slice up to degree D must hold at least one product and every
-    residue functional of the algebra must vanish on an echelon basis
-    of it, and the complement of the slice's leading monomials must
-    reproduce the certified missing set exactly.  A filtration already
-    built by ``qn_build`` for the same points, level and order may be
-    passed as ``flt``.
+    All three checks read one slice of the constants plus the ideal,
+    capped at D, the certified conductor plus the ideal generation
+    degree; ``verify_main_theorem`` says why that cap suffices.  Every
+    basis generator must land in the slice, the slice must hold at least
+    one product and every residue functional of the algebra must vanish
+    on an echelon basis of it, and the complement of the slice's leading
+    monomials must reproduce the certified missing set exactly.  A
+    filtration already built by ``qn_build`` for the same points, level
+    and order may be passed as ``flt``.
     """
     spec = qn_spec(points, level)
     flt = _spec_filtration(spec, order, flt)
     basis = flt.final_basis
     report = flt.final_report
     pts = spec.points
-    width = level * len(pts)
-    cap = degree_cap if degree_cap is not None else report.conductor + width
+    # A correct build's generators all lie below the conductor plus the
+    # width; the max keeps a wrong one inside the slice's frame.
+    cap = max(report.conductor + level * len(pts), basis.max_generator_degree())
     items: list[CheckItem] = []
 
     ideal = _IdealSlice(pts, level, cap, order)
-
-    # Membership in the slice does not depend on the column order, so the
-    # generators are tested against the same slice unless one is too high.
-    gen_cap = max(cap, basis.max_generator_degree())
-    gen_slice = ideal if gen_cap == cap else _IdealSlice(pts, level, gen_cap, order)
-    failing = [format_poly(g) for g in basis.gens if not gen_slice.contains(g)]
+    failing = [format_poly(g) for g in basis.gens if not ideal.contains(g)]
     items.append(
         CheckItem(
             "generators_in_ideal_sum",
             not failing,
-            {"degree_cap": gen_cap, "generators": len(basis.gens), "failing": failing},
+            {"degree_cap": cap, "generators": len(basis.gens), "failing": failing},
         )
     )
 
@@ -619,11 +615,7 @@ def _containment_counts(
     return checked, failures(0, _residue_table(residues, index))
 
 
-def verify_main_theorem(
-    flt: ConditionFiltration,
-    alpha: Sequence,
-    containment_cap: int | None = None,
-) -> Report:
+def verify_main_theorem(flt: ConditionFiltration, alpha: Sequence) -> Report:
     """Cross-check the derivation-space pipeline on a validated filtration.
 
     Three checks: the capped sweep of shifted-product multiples at level
@@ -633,6 +625,14 @@ def verify_main_theorem(
     candidate-ansatz derivation dimension must equal the independent
     cotangent count, and the Leibniz rule must hold for every computed
     basis derivation on ten random pairs of members each.
+
+    The sweep stops at total degree c + w, the certified conductor c
+    plus the degree w of the products P, and that proves the whole
+    containment.  The missing monomials m_k all have degree below c, so
+    the sweep tests P = P·x^0 and every P·x^(m_k).  Any other shift s
+    heads a canonical element c_s = x^s − Σ_k rho_k(x^s)·x^(m_k) of A,
+    so P·x^s = P·c_s + Σ_k rho_k(x^s)·P·x^(m_k) lies in A whenever
+    those do.  ``verify_qprime_eq_q`` caps its slice the same way.
 
     A random member is a small integer combination of 1 and canonical
     elements (``random.Random(7)``).  Its jet is the same combination of
@@ -653,11 +653,7 @@ def verify_main_theorem(
     items: list[CheckItem] = []
 
     if sp.points:
-        cap = (
-            containment_cap
-            if containment_cap is not None
-            else report.conductor + level * len(sp.points)
-        )
+        cap = report.conductor + level * len(sp.points)
         checked, failed = _containment_counts(flt, sp.points, level, cap, residues)
         details = {"level": level, "degree_cap": cap, "checked": checked, "failed": failed}
         items.append(CheckItem("ideal_containment", checked > 0 and failed == 0, details))

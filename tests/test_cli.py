@@ -8,6 +8,7 @@ from subalg.cli import (
     Session,
     SessionError,
     condition_from_json,
+    condition_to_json,
     functional_to_derivation_json,
     main,
 )
@@ -469,16 +470,19 @@ def three_points_session(tmp_path):
     return str(session)
 
 
-def test_huge_containment_sweep_exits_one(monkeypatch, tmp_path, capsys):
-    # Level 2 under a degree cap of 229: 3^3 products times C(2 + 229 - 6, 2)
-    # shifts, one cap past the limit.
-    monkeypatch.setenv("SUBALG_MAX_DEGREE", "229")
-    code, out, err = run(capsys, "verify-main", three_points_session(tmp_path), "0,0")
+def test_huge_containment_sweep_exits_one(tmp_path, capsys):
+    # Four space points at level 3: conductor 6, so the derived cap is 18,
+    # and 10^4 products times C(3 + 18 - 12, 3) shifts pass the limit.
+    spec = qn.qn_spec([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    session = tmp_path / "four-space-points.json"
+    conditions = [condition_to_json(cond) for cond in spec.conditions]
+    session.write_text(json.dumps({"n": 3, "conditions": conditions}))
+    code, out, err = run(capsys, "verify-main", str(session), "0,0,0")
     assert code == 1
     assert out == ""
     assert err == (
-        "error: refusing a containment sweep of 680400 elements (level 2, "
-        "degree cap 229); the limit is 675000\n"
+        "error: refusing a containment sweep of 840000 elements (level 3, "
+        "degree cap 18); the limit is 675000\n"
     )
 
 
@@ -503,24 +507,8 @@ def test_invariant_failure_exits_four(monkeypatch, capsys):
     assert err.startswith("internal error: kernel step did not drop")
 
 
-def test_containment_that_checks_nothing_exits_three(monkeypatch, capsys):
-    # A degree cap below the products' degree leaves the sweep empty.
-    monkeypatch.setenv("SUBALG_MAX_DEGREE", "1")
-    code, out, _ = run(capsys, "verify-main", A4, "3,2,5", "--json")
-    assert code == 3
-    checks = {item["check"]: item for item in json.loads(out)["checks"]}
-    assert checks["ideal_containment"] == {
-        "check": "ideal_containment",
-        "pass": False,
-        "details": {"level": 2, "degree_cap": 1, "checked": 0, "failed": 0},
-    }
-    assert [name for name, item in checks.items() if not item["pass"]] == [
-        "ideal_containment"
-    ]
-
-
 def test_failed_verification_exits_three(monkeypatch, capsys):
-    def broken(flt, alpha, containment_cap=None):
+    def broken(flt, alpha):
         return Report((CheckItem("demo", False, {"reason": "forced"}),))
 
     monkeypatch.setattr("subalg.cli.verify_main_theorem", broken)
@@ -530,7 +518,7 @@ def test_failed_verification_exits_three(monkeypatch, capsys):
     assert "1 check(s) failed" in out
 
 
-# -- options and environment ------------------------------------------
+# -- options ----------------------------------------------------------
 
 
 def test_order_override(capsys):
@@ -538,21 +526,6 @@ def test_order_override(capsys):
         code, out, _ = run(capsys, "codim", A3, "--order", order)
         assert code == 0
         assert "codimension: 2" in out
-
-
-def test_degree_cap_env_accepted(monkeypatch, capsys):
-    monkeypatch.setenv("SUBALG_MAX_DEGREE", "40")
-    code, out, _ = run(capsys, "verify-main", A1, "0")
-    assert code == 0
-    assert "all checks passed" in out
-
-
-def test_degree_cap_env_rejected(monkeypatch, capsys):
-    for value in ("bogus", "0", "-3"):
-        monkeypatch.setenv("SUBALG_MAX_DEGREE", value)
-        code, _, err = run(capsys, "verify-main", A1, "0")
-        assert code == 1
-        assert "SUBALG_MAX_DEGREE" in err
 
 
 # -- the installed entry point ----------------------------------------

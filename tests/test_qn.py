@@ -484,8 +484,8 @@ GROWTH_CASES = (
 
 def test_slice_grown_from_independent_products_matches_every_shift():
     # Each algebra's slice at the cap verify_qprime_eq_q uses and two
-    # above it (a raised SUBALG_MAX_DEGREE), and the slice one level
-    # below, which sticks out of the algebra.
+    # above it (an explicit cap, as qprime_membership takes), and the
+    # slice one level below, which sticks out of the algebra.
     cases = outside = 0
     for points, level in GROWTH_CASES:
         spec = qn_spec(points, level)
@@ -495,6 +495,8 @@ def test_slice_grown_from_independent_products_matches_every_shift():
             flt = qn_build(spec, order)
             basis, report = flt.final_basis, flt.final_report
             cap = report.conductor + level * len(pts)
+            # So the one slice verify_qprime_eq_q builds holds every generator.
+            assert basis.max_generator_degree() < cap, (points, level, order.name)
             for slice_level, slice_cap in [(level, cap), (level, cap + 2), (level - 1, cap)]:
                 ideal = _IdealSlice(pts, slice_level, slice_cap, order)
                 ech, monos, _ = _fresh_slice(pts, slice_level, slice_cap, order)
@@ -597,16 +599,36 @@ def test_two_descriptions_agree_in_the_plane():
     assert by_name["missing_complement_match"].details["slice_rank"] == 40
 
 
-def test_empty_ideal_slice_fails():
-    # Below the products' degree the slice holds only the constants.
-    report = verify_qprime_eq_q([(0, 0), (0, 1)], 2, degree_cap=3)
-    by_name = {item.check: item for item in report.items}
-    assert by_name["ideal_slice_subduces"].details == {
-        "degree_cap": 3,
-        "elements": 0,
-        "failing": [],
-    }
-    assert not by_name["ideal_slice_subduces"].passed
+def test_slice_below_the_products_degree_holds_only_the_constants():
+    # Two plane points at level 2 have products of degree 4.
+    pts = ((0, 0), (0, 1))
+    ideal = _IdealSlice(pts, 2, 3, DEGREVLEX)
+    assert ideal.elements == 0
+    assert ideal.rank == 1
+    assert qprime_membership(parse_poly("7", 2), pts, 2, 3)
+    assert not qprime_membership(parse_poly("x1*x2 + 7", 2), pts, 2, 3)
+
+
+def test_qprime_check_builds_one_slice_at_the_derived_cap(monkeypatch):
+    caps = []
+
+    class CountingSlice(_IdealSlice):
+        def __init__(self, pts, level, cap, order):
+            caps.append(cap)
+            super().__init__(pts, level, cap, order)
+
+    monkeypatch.setattr(subalg.qn, "_IdealSlice", CountingSlice)
+    for points, level in LADDER_RUNGS:
+        spec = qn_spec(points, level)
+        for order in SLICE_ORDERS:
+            flt = qn_build(spec, order)
+            cap = flt.final_report.conductor + level * len(spec.points)
+            assert flt.final_basis.max_generator_degree() < cap, (points, level, order.name)
+            caps.clear()
+            report = verify_qprime_eq_q(points, level, order, flt=flt)
+            assert report.passed, (points, level, order.name)
+            assert caps == [cap], (points, level, order.name)
+            assert [item.details.get("degree_cap") for item in report.items] == [cap, cap, None]
 
 
 def test_derivation_reports_on_single_points():
@@ -1216,15 +1238,15 @@ def test_verifiers_refuse_a_foreign_filtration():
 
 
 def test_oversized_containment_sweep_is_refused(monkeypatch):
-    # Level 2 at three plane points: 3^3 products times C(2 + 229 - 6, 2)
-    # shifts under a degree cap of 229, one past the limit; cap 228 gives
-    # 674,352.  The refusal comes before the residue table is built.
-    flt = qn_build(qn_spec([(0, 0), (0, 1), (1, 0)], 2))
-    assert comb(2 + 228 - 6, 2) * 27 <= subalg.qn.MAX_CONTAINMENT_ELEMENTS
+    # Four space points at level 3 (39 conditions): conductor 6, so the
+    # derived cap is 18, and 10^4 products times C(3 + 18 - 12, 3) shifts
+    # pass the limit.  The refusal comes before the residue table is built.
+    flt = qn_build(qn_spec([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3))
+    assert flt.final_report.conductor == 6
     monkeypatch.setattr(subalg.qn, "_residue_table", None)
-    refusal = r"680400 elements \(level 2, degree cap 229\)"
+    refusal = r"840000 elements \(level 3, degree cap 18\)"
     with pytest.raises(ContainmentTooLarge, match=refusal):
-        verify_main_theorem(flt, (0, 0), containment_cap=229)
+        verify_main_theorem(flt, (0, 0, 0))
 
 
 def test_three_plane_points_pass_at_the_order_level():

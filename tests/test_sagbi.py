@@ -366,6 +366,23 @@ def test_chain_missing_grows_by_dropped_monomial():
         assert flt.final_report.codim == 1
 
 
+def test_builds_repeat_exactly(capsys):
+    # A rung rebuilt after the session builds, and each session's build
+    # stdout after the rung build, match their first runs.
+    points, level = LADDER_RUNGS[0]
+    expected = qn_build(qn_spec(points, level))
+    stdout = {}
+    for name in SESSION_NAMES:
+        assert main(["build", str(SESSIONS / f"{name}.json")]) == 0
+        stdout[name] = capsys.readouterr().out
+    rung = qn_build(qn_spec(points, level))
+    assert [lv.basis.gens for lv in rung.levels] == [lv.basis.gens for lv in expected.levels]
+    assert [lv.report for lv in rung.levels] == [lv.report for lv in expected.levels]
+    for name in SESSION_NAMES:
+        assert main(["build", str(SESSIONS / f"{name}.json")]) == 0
+        assert capsys.readouterr().out == stdout[name], name
+
+
 # -- equivalence and completion ---------------------------------------
 
 
@@ -1421,21 +1438,6 @@ def test_step_mutants_exit_four_through_build(monkeypatch, capsys, mutant):
 
 
 # -- work the builds no longer do -------------------------------------
-
-
-def test_builds_never_scan_a_whole_level(capsys):
-    points, level = LADDER_RUNGS[0]
-    expected = qn_build(qn_spec(points, level))
-    stdout = {}
-    for name in SESSION_NAMES:
-        assert main(["build", str(SESSIONS / f"{name}.json")]) == 0
-        stdout[name] = capsys.readouterr().out
-    rung = qn_build(qn_spec(points, level))
-    assert [lv.basis.gens for lv in rung.levels] == [lv.basis.gens for lv in expected.levels]
-    assert [lv.report for lv in rung.levels] == [lv.report for lv in expected.levels]
-    for name in SESSION_NAMES:
-        assert main(["build", str(SESSIONS / f"{name}.json")]) == 0
-        assert capsys.readouterr().out == stdout[name], name
 
 
 def test_builds_apply_each_condition_in_one_pivot_pass(monkeypatch):
