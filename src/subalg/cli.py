@@ -26,6 +26,7 @@ from .errors import InvalidFiltration, InvariantError, SubalgError
 from .functionals import (
     Condition,
     ConditionKind,
+    DerivativeAtom,
     LinearFunctional,
     character_difference,
 )
@@ -96,7 +97,7 @@ def _condition(obj, n: int) -> Condition:
         terms = obj.get("terms")
         if not isinstance(terms, list) or not terms:
             raise SessionError("a derivation condition needs a nonempty terms list")
-        functional = LinearFunctional.zero(n)
+        atoms = []
         for term in terms:
             if not isinstance(term, dict):
                 raise SessionError("each derivation term must be a JSON object")
@@ -108,8 +109,8 @@ def _condition(obj, n: int) -> Condition:
             partials = partials_from_indices(indices, n)
             coeff = _rational(term.get("coeff", 1))
             at = _point(term["point"], n) if "point" in term else point
-            functional = functional + LinearFunctional.partial_at(at, partials, coeff)
-        return Condition(functional, ConditionKind.derivation(point))
+            atoms.append(DerivativeAtom(coeff, at, partials))
+        return Condition(LinearFunctional(n, atoms), ConditionKind.derivation(point))
     raise SessionError(f"unknown condition type {kind!r}")
 
 

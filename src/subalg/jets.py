@@ -25,7 +25,7 @@ from math import comb
 from operator import add
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import JetSpaceTooLarge
+from .errors import DimensionMismatch, JetSpaceTooLarge
 from .linalg import Echelon, SparseRow
 from .poly import (
     Monomial,
@@ -115,6 +115,13 @@ class JetSpace:
     def index(self, point_index: int, partials: Monomial) -> int:
         return self._index[(point_index, partials)]
 
+    def columns(self, points, order: int) -> tuple[int, ...]:
+        """The coordinates of the partials up to ``order`` at ``points``, ascending:
+        partials come by order, so they are listed as a space with that cap lists them."""
+        size, end = len(self._partials), self._ends[order]
+        bases = sorted(self.point_index(p) * size for p in points)
+        return tuple(base + j for base in bases for j in range(end))
+
     def jet(self, f: Poly) -> SparseRow:
         """Raw derivative values of ``f``, read straight from its terms.
 
@@ -122,6 +129,8 @@ class JetSpace:
         c * prod_i m_i!/(m_i - a_i)! * p_i^(m_i - a_i); only the partials
         a within the cap are formed.
         """
+        if f.n != self.n:
+            raise DimensionMismatch("polynomial and jet space sizes differ")
         out: SparseRow = {}
         for pi, point in enumerate(self._int_points):
             values: dict[Monomial, Fraction] = {}

@@ -453,7 +453,9 @@ def verify_d_of_q(
     closure of ``maximal_ideal_jets`` in one jet space over the point
     set, which is one cluster as that closure requires.  Its cap reaches
     the expected partials and twice the largest condition order plus
-    one, where the derivation basis stops too.
+    one, where the derivation basis stops too (both are 2·level − 1 on a
+    correct build; the larger lets a build of another level fail the
+    checks instead of raising).  Expected partials are unit coordinates.
     ``flt`` may pass the filtration ``qn_build`` made for the same
     points, level and order.
     """
@@ -487,17 +489,17 @@ def verify_d_of_q(
         return out
 
     expected_partials = [
-        (pt, partials)
-        for pt in pts
+        (pi, partials)
+        for pi in range(len(pts))
         for k in range(level, top + 1)
         for partials in monomials_of_degree(n, k)
     ]
     bad_leibniz = []
     partial_values = Echelon()
-    for pt, partials in expected_partials:
-        covector = integral(jets.functional_covector(LinearFunctional.partial_at(pt, partials)))
+    for pi, partials in expected_partials:
+        covector = {jets.index(pi, partials): 1}
         if any(jets.pair(covector, row) for row in square.pivot_rows.values()):
-            bad_leibniz.append(f"order {sum(partials)} at {tuple(str(c) for c in pt)}")
+            bad_leibniz.append(f"order {sum(partials)} at {tuple(str(c) for c in pts[pi])}")
         partial_values.add(values(covector))
     unexpressed = [
         repr(functional)

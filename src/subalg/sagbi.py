@@ -31,7 +31,9 @@ A build validates each condition on the level's jet shadow: the jets of
 the level at every condition point, held as the echelon of the condition
 covectors cut so far, whose common kernel they are.  The Leibniz rule on
 those jets is the rule on the whole level, so no spanning set of
-polynomials is built for it.
+polynomials is built for it.  One jet space serves the whole build:
+a condition's test reads the partials up to its order at its points
+among that space's own coordinates.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     CompletionDidNotStabilize,
+    DimensionMismatch,
     InvalidFiltration,
     InvariantError,
     NotAProperCondition,
@@ -62,8 +65,6 @@ from .poly import (
     monomials_of_degree,
     monomials_up_to,
 )
-
-_ZERO_STEP_GUARD = 10_000
 
 
 def _witness_search(
@@ -128,6 +129,8 @@ class SagbiBasis:
 
     def __init__(self, n: int, order: TermOrder, gens: Sequence[Poly]):
         gens = tuple(gens)
+        if any(g.n != n for g in gens):
+            raise DimensionMismatch(f"generators must be polynomials in {n} variables")
         self._start(n, order, gens, tuple(g.leading_monomial(order) for g in gens))
 
     @classmethod
@@ -162,12 +165,14 @@ class SagbiBasis:
         return max((g.total_degree() for g in self.gens), default=0)
 
     def witness(self, mono: Monomial) -> tuple[int, ...] | None:
+        if len(mono) != self.n:
+            raise DimensionMismatch(f"a monomial in {len(mono)} variables, the basis has {self.n}")
         return _witness_search(tuple(mono), self._degrees, self._witness_memo)
 
     def contains_monomial(self, mono: Monomial) -> bool:
-        if self._holes is not None:
-            return tuple(mono) not in self._holes
-        return self.witness(mono) is not None
+        if self._holes is None or len(mono) != self.n:  # the search refuses a bad size
+            return self.witness(mono) is not None
+        return tuple(mono) not in self._holes
 
     def product_for_exponents(self, exponents: Sequence[int]) -> Poly:
         out = Poly.constant(self.n, 1)
@@ -276,11 +281,16 @@ def subduce(f: Poly, basis: SagbiBasis) -> SubductionResult:
     semigroup, so a step touches only that element's terms of the one
     remainder dict, and a queue sorted by the term order yields the next
     leading monomial.  The leading monomial strictly decreases at every
-    step; both exit conditions are checked.
+    step; both exit conditions are checked.  A step clears a semigroup
+    monomial and adds only tail monomials, outside the semigroup, so
+    steps never outnumber the terms of ``f``.
     """
+    if f.n != basis.n:
+        raise DimensionMismatch("polynomial and basis sizes differ")
     steps: list[SubductionStep] = []
     key = basis.order.key
     rem = dict(f.items())
+    guard = len(rem)
     queue = sorted((key(m), m) for m in rem)  # ascending; stale entries are skipped
     previous_key = None
     while queue:
@@ -297,7 +307,7 @@ def subduce(f: Poly, basis: SagbiBasis) -> SubductionResult:
         for m in _subtract(rem, coeff, basis.canonical_element(mono)):
             insort(queue, (key(m), m))
         steps.append(SubductionStep(coeff, exponents))
-        if len(steps) > _ZERO_STEP_GUARD:
+        if len(steps) > guard:
             raise InvariantError("subduction exceeded the step guard")
     remainder = Poly(f.n, rem)
     if rem and basis.witness(remainder.leading_monomial(basis.order)) is not None:
@@ -785,7 +795,7 @@ class _JetShadow:
     covectors cut so far, and ℓ vanishes on them exactly when it lies in
     their span.  j is a ring homomorphism, so the Leibniz rule on A is
     the pair test on these jets, projected to the condition's own
-    coordinates.
+    coordinates, in this one space for every condition of the build.
     """
 
     __slots__ = ("space", "cuts", "_covectors", "_within")
@@ -801,35 +811,32 @@ class _JetShadow:
         self._covectors: list[SparseRow] = []  # every covector cut, in order
         self._within: dict[tuple[int, ...], SpanWithin] = {}
 
-    def project(self, condition: Condition) -> tuple[JetSpace, Echelon]:
-        """The condition's jet space, and the echelon of the jets projected to it.
+    def project(self, condition: Condition) -> Echelon:
+        """The echelon of the jets projected to the condition's coordinates.
 
-        The projection to coordinates C of the covectors' common kernel
+        Those coordinates C are the partials up to the condition's order
+        at its points, alpha and beta; the rows are over the shadow's own
+        coordinates.  The projection to C of the covectors' common kernel
         is the kernel of their span's members supported on C.  Each C
         keeps its own ``SpanWithin``, fed only the covectors cut since
         its last use.
         """
         functional, kind = condition.functional, condition.kind
-        points = sorted(set(functional.points()) | {kind.alpha, kind.beta})
-        space = JetSpace(points, functional.max_order, functional.n)
-        big = self.space
-        columns = tuple(big.index(big.point_index(space.points[pi]), a) for pi, a in space.coords)
+        points = {*functional.points(), kind.alpha, kind.beta}
+        columns = self.space.columns(points, functional.max_order)
         within = self._within.get(columns)
         if within is None:
-            within = self._within[columns] = SpanWithin(columns, big.dim)
+            within = self._within[columns] = SpanWithin(columns, self.space.dim)
         within.extend(self._covectors[within.seen:])
         jets = Echelon()
-        for row in kernel_basis(within.basis(), space.dim):
-            jets.add(row)
-        return space, jets
+        for row in kernel_basis(within.basis(), len(columns)):
+            jets.add({columns[s]: v for s, v in row.items()})
+        return jets
 
     def leibniz_holds(self, condition: Condition) -> bool:
         """The condition's Leibniz rule on the level these jets span."""
-        space, jets = self.project(condition)
-        kind = condition.kind
-        return leibniz_on_jets(
-            space, condition.functional, kind.alpha, kind.beta, jets.pivot_rows.values()
-        )
+        kind, jets = condition.kind, self.project(condition).pivot_rows.values()
+        return leibniz_on_jets(self.space, condition.functional, kind.alpha, kind.beta, jets)
 
     def cut(self, functional: LinearFunctional) -> bool:
         """Intersect with ker ℓ; False, changing nothing, when ℓ vanishes on the jets."""

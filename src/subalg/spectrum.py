@@ -42,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .functionals import LinearFunctional
+from .functionals import DerivativeAtom, LinearFunctional
 from .jets import JetSpace
 from .linalg import Echelon, SparseRow, integral, kernel_basis, span_within
-from .poly import Monomial, Point, as_point, monomials_up_to
+from .poly import Point, as_point
 from .sagbi import ConditionFiltration, SagbiBasis
 
 
@@ -77,22 +77,18 @@ class Spectrum:
 
 
 def spectrum(flt: ConditionFiltration) -> Spectrum:
-    """All condition points, partitioned into clusters of the final algebra."""
+    """All condition points, partitioned into clusters of the final algebra:
+    a cluster's points give every generator the same value."""
     seen: set[Point] = set()
     for level in flt.levels:
         for atom in level.condition.functional.atoms:
             seen.add(atom.point)
     points = tuple(sorted(seen))
     final = flt.final_basis
-    groups: list[list[Point]] = []
-    for p in points:
-        for group in groups:
-            if are_equivalent(p, group[0], final):
-                group.append(p)
-                break
-        else:
-            groups.append([p])
-    clusters = tuple(sorted(tuple(sorted(g)) for g in groups))
+    groups: dict[tuple, list[Point]] = {}
+    for p in points:  # ascending, so each group is sorted
+        groups.setdefault(tuple(g.evaluate(p) for g in final.gens), []).append(p)
+    clusters = tuple(sorted(map(tuple, groups.values())))
     for level in flt.levels:
         kind = level.condition.kind
         if kind.name == "chardiff":
@@ -108,8 +104,8 @@ class DerivationSpace:
     ``basis`` elements are honest functionals on the polynomial ring;
     restricted to the algebra they satisfy the one-point Leibniz rule
     and are linearly independent.  ``ansatz_order`` is one more than the
-    candidates' order cap (2·max condition order + 1 at spectrum points,
-    1 elsewhere), ``candidates`` the candidate count, and
+    cap of the jet space they are read in (2·max condition order + 1 at
+    spectrum points, 1 elsewhere), ``candidates`` the candidate count, and
     ``relations`` the dimension of candidate combinations that vanish
     on the whole algebra (quotiented away).
     """
@@ -125,12 +121,6 @@ class DerivationSpace:
         return len(self.basis)
 
 
-def _ordered_partials(n: int, low: int, high: int) -> list[Monomial]:
-    out = [m for m in monomials_up_to(n, high) if low <= sum(m) <= high]
-    out.sort(key=lambda m: (sum(m), m))
-    return out
-
-
 def derivation_space(
     flt: ConditionFiltration, alpha, *, spec: Spectrum | None = None
 ) -> DerivationSpace:
@@ -140,10 +130,12 @@ def derivation_space(
     it kills the square of the maximal ideal m of the algebra at alpha.
     Candidate combinations are therefore intersected with the
     annihilator of the jets of m·m, then reduced modulo combinations
-    that vanish on the whole algebra (those act as zero).  Candidates
-    stop at order 2·max_order + 1: the algebra holds I = ∩ m_p^(max_order+1)
-    over the spectrum and alpha, I ⊂ m, so every derivation kills I²
-    and its jets of higher order.
+    that vanish on the whole algebra (those act as zero).  The candidates
+    are the jet space's own coordinates of order 1 or more, in its
+    order, and its cap is 2·max_order + 1: the algebra holds
+    I = ∩ m_p^(max_order+1) over the spectrum and alpha, I ⊂ m, so every
+    derivation kills I² and its jets of higher order.  Off the spectrum
+    no condition atom lies at alpha, and the cap is 1.
 
     Everything is read in one jet space over alpha's cluster C (alpha
     alone off the spectrum), with the condition covectors restricted to
@@ -160,8 +152,7 @@ def derivation_space(
         spec = spectrum(flt)
     in_spectrum = point in spec.points
     cluster = spec.cluster_of(point) if in_spectrum else (point,)
-    cand_cap = 2 * flt.max_order + 1 if in_spectrum else 1
-    cap = max(cand_cap, flt.max_order)
+    cap = 2 * flt.max_order + 1 if in_spectrum else 1
     space = JetSpace(cluster, cap, n)
 
     condition_rows = _cluster_rows(flt, space)
@@ -170,10 +161,9 @@ def derivation_space(
     # integer rows and their products stay on int.
     ideal_jets = [integral(u) for u in kernel_basis(condition_rows + [eval_row], space.dim)]
 
-    candidates = [
-        (pi, a) for pi in range(len(cluster)) for a in _ordered_partials(n, 1, cand_cap)
-    ]
-    slot_of = {space.index(pi, a): s for s, (pi, a) in enumerate(candidates)}
+    candidates = [c for c, (_, a) in enumerate(space.coords) if any(a)]
+    slot_of = {c: s for s, c in enumerate(candidates)}
+    atoms = [(space.points[pi], a) for pi, a in space.coords if any(a)]  # slot by slot
 
     # Span of jets of m·m, seen through the candidate coordinates only.
     square_span = Echelon()
@@ -185,7 +175,7 @@ def derivation_space(
 
     # Candidate combinations that vanish on the whole algebra: exactly the
     # elements of the condition row space supported on candidate coordinates.
-    vanishing = span_within(condition_rows, list(slot_of), space.dim)
+    vanishing = span_within(condition_rows, candidates, space.dim)
 
     for z in vanishing:
         for row in square_rows:
@@ -196,24 +186,15 @@ def derivation_space(
     for z in vanishing:
         quotient.add(z)
     relations = quotient.rank
-    representatives: list[SparseRow] = []
-    for t in annihilator:
-        if quotient.add(t) is not None:
-            representatives.append(t)
-
-    basis = []
-    for t in representatives:
-        functional = LinearFunctional.zero(n)
-        for slot in sorted(t):
-            pi, a = candidates[slot]
-            functional = functional + LinearFunctional.partial_at(
-                space.points[pi], a, t[slot]
-            )
-        basis.append(functional)
+    basis = [
+        LinearFunctional(n, [DerivativeAtom(coeff, *atoms[slot]) for slot, coeff in t.items()])
+        for t in annihilator
+        if quotient.add(t) is not None
+    ]
     return DerivationSpace(
         point=point,
         basis=tuple(basis),
-        ansatz_order=cand_cap + 1,
+        ansatz_order=cap + 1,
         candidates=len(candidates),
         relations=relations,
     )
@@ -272,8 +253,7 @@ def _ideal_closure(
     each new row of m is multiplied by B's rows (see ``maximal_ideal_jets``).
     """
     shifted = [integral(space.shifted_jet(g, point)) for g in flt.final_basis.gens]
-    origin = (0,) * space.n
-    evaluations = [space.index(pi, origin) for pi in range(len(space.points))]
+    evaluations = space.columns(space.points, 0)
     if any(c in u for u in shifted for c in evaluations):
         raise ValueError("jet base points must lie in the point's cluster")
     multipliers = space.graded_basis(shifted)

@@ -74,6 +74,13 @@ def test_member_high_power_exits_zero(capsys):
     assert out == "member: true\nremainder: 0\n"
 
 
+def test_member_with_more_terms_than_any_fixed_step_guard(capsys):
+    # x1^3 + ... + x1^10009 takes one subduction step per term.
+    text = " + ".join(f"x1^{k}" for k in range(3, 10_010))
+    code, out, err = run(capsys, "member", A1, text)
+    assert (code, out, err) == (0, "member: true\nremainder: 0\n", "")
+
+
 def test_codim_text(capsys):
     code, out, _ = run(capsys, "codim", A1)
     assert code == 0

@@ -1,6 +1,8 @@
 import random
+import signal
 import sys
 from bisect import insort
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from operator import add
@@ -135,6 +137,60 @@ def test_membership_random_products(seed=11, rounds=40):
             f = f * g
         f = f + Poly.constant(1, F(rng.randint(-3, 3)))
         assert is_member(f, b)
+
+
+def test_subduction_steps_are_bounded_by_the_terms_of_the_input():
+    # Every x1^k, k >= 3, lies in a1's algebra; each term costs one step.
+    a1 = session_filtration("a1").final_basis
+    assert gens_as_text(a1) == ["x1^3", "x1^4", "x1^5"]
+    result = subduce(Poly(1, {(k,): 1 for k in range(3, 10_010)}), a1)
+    assert result.remainder.is_zero()
+    assert len(result.steps) == 10_007
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a call that loops past ``seconds`` into a failure, not a hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_subduction_refuses_a_polynomial_of_another_size():
+    a1, a4 = session_filtration("a1").final_basis, session_filtration("a4").final_basis
+    cases = [(P("x1^2", 1), a4), (P("x1^3 + x2", 2), a1), (P("x2^5", 2), a1)]
+    with deadline(10):
+        for f, basis in cases:
+            for call in (subduce, is_member):
+                with pytest.raises(DimensionMismatch):
+                    call(f, basis)
+        with pytest.raises(DimensionMismatch):
+            bases_equivalent(a1, a4)
+
+
+def test_basis_refuses_generators_of_another_size():
+    with pytest.raises(DimensionMismatch):
+        SagbiBasis(2, DEGREVLEX, [P("x1^3", 1)])
+    with pytest.raises(DimensionMismatch):
+        SagbiBasis(1, DEGREVLEX, [P("x1^2", 1), P("x1^3 + x2", 2)])
+
+
+def test_witness_refuses_a_monomial_of_another_size():
+    built = session_filtration("a4").final_basis  # answers from its certified holes
+    searched = SagbiBasis(3, DEGREVLEX, built.gens)  # answers by the witness search
+    for basis in (built, searched):
+        for call in (basis.witness, basis.contains_monomial, basis.canonical_element,
+                     basis.product_for):
+            with deadline(10), pytest.raises(DimensionMismatch):
+                call((2,))
 
 
 # -- canonical elements -----------------------------------------------
@@ -987,6 +1043,16 @@ def replay_shadow(flt, extra=()):
         basis, report = level.basis, level.report
 
 
+def condition_space(shadow, condition):
+    """The condition's own jet space, over its points, alpha and beta up to
+    its order, and the shadow coordinate of each of its coordinates."""
+    functional, kind = condition.functional, condition.kind
+    points = sorted(set(functional.points()) | {kind.alpha, kind.beta})
+    space = JetSpace(points, functional.max_order, functional.n)
+    big = shadow.space
+    return space, [big.index(big.point_index(space.points[pi]), a) for pi, a in space.coords]
+
+
 def span_reaching(space, basis, report, rank):
     """Canonical elements by head degree until their jets reach ``rank``."""
     missing = set(report.missing)
@@ -1025,9 +1091,14 @@ def test_shadow_projection_equals_a_canonical_span_and_its_verdict():
         extra = [c for wrong in probes.values() for c in wrong]
         for condition, basis, report, shadow in replay_shadow(flt, extra):
             for probe in [condition] + probes[condition]:
-                space, projected = shadow.project(probe)
+                projected = shadow.project(probe)
+                space, columns = condition_space(shadow, probe)
                 jets, span = span_reaching(space, basis, report, projected.rank)
-                assert projected.pivot_rows == jets.pivot_rows, (label, probe)
+                reindexed = {
+                    columns[p]: {columns[c]: v for c, v in row.items()}
+                    for p, row in jets.pivot_rows.items()
+                }
+                assert projected.pivot_rows == reindexed, (label, probe)
                 verdict = shadow.leibniz_holds(probe)
                 kind = probe.kind
                 assert verdict == check_leibniz(probe.functional, kind.alpha, kind.beta, span), (label, probe)
@@ -1053,20 +1124,13 @@ class RowShadow(sagbi._JetShadow):
         self.rows = [{c: 1} for c in range(self.space.dim)]
 
     def project(self, condition):
-        functional, kind = condition.functional, condition.kind
-        points = sorted(set(functional.points()) | {kind.alpha, kind.beta})
-        space = JetSpace(points, functional.max_order, functional.n)
-        big = self.space
-        projection = {
-            big.index(big.point_index(space.points[pi]), a): c
-            for c, (pi, a) in enumerate(space.coords)
-        }
+        columns = set(condition_space(self, condition)[1])
         jets = Echelon()
         for row in self.rows:
-            projected = {projection[c]: v for c, v in row.items() if c in projection}
-            if projected and jets.add(projected) is not None and jets.rank == space.dim:
+            projected = {c: v for c, v in row.items() if c in columns}
+            if projected and jets.add(projected) is not None and jets.rank == len(columns):
                 break
-        return space, jets
+        return jets
 
     def cut(self, functional):
         """The sparsest row where ℓ is nonzero is the pivot; every other such
@@ -1103,8 +1167,8 @@ def test_covector_shadow_matches_row_elimination_oracle():
     for label, n, conditions in chains:
         shadow, oracle = sagbi._JetShadow(n, conditions), RowShadow(n, conditions)
         for index, condition in enumerate(conditions, start=1):
-            projected = shadow.project(condition)[1].pivot_rows
-            assert projected == oracle.project(condition)[1].pivot_rows, (label, index)
+            projected = shadow.project(condition).pivot_rows
+            assert projected == oracle.project(condition).pivot_rows, (label, index)
             verdict = shadow.cut(condition.functional)
             assert verdict == oracle.cut(condition.functional), (label, index)
             levels += 1

@@ -8,7 +8,8 @@ from operator import add
 
 import pytest
 
-from subalg.errors import InvariantError, JetSpaceTooLarge, SubalgError
+from subalg.cli import Session
+from subalg.errors import DimensionMismatch, InvariantError, JetSpaceTooLarge, SubalgError
 from subalg.functionals import (
     Condition,
     ConditionKind,
@@ -18,7 +19,7 @@ from subalg.functionals import (
 )
 from subalg.jets import MAX_JET_DIM, JetSpace
 from subalg.linalg import Echelon, integral, kernel_basis, span_within
-from subalg.poly import DEGREVLEX, Poly, as_point, parse_poly
+from subalg.poly import DEGREVLEX, Poly, as_point, monomials_up_to, parse_poly
 from subalg.qn import qn_build, qn_spec, verify_d_of_q
 from subalg.sagbi import (
     ConditionFiltration,
@@ -29,7 +30,6 @@ from subalg.sagbi import (
 from subalg.spectrum import (
     DerivationSpace,
     Spectrum,
-    _ordered_partials,
     are_equivalent,
     cotangent_dimension,
     derivation_space,
@@ -37,8 +37,8 @@ from subalg.spectrum import (
     spectrum,
 )
 from support import (
-    ansatz_bound, chain_a1, chardiff_cond, deriv_cond, random_filtration, random_point, rref_rows,
-    session_filtration, space_example, translate,
+    LADDER_RUNGS, SESSIONS, ansatz_bound, chain_a1, chardiff_cond, deriv_cond, random_filtration,
+    random_point, rref_rows, session_filtration, space_example, translate,
 )
 
 F = Fraction
@@ -58,6 +58,16 @@ def test_jet_reads_derivatives():
     assert values[(1, (0,))] == 3
     assert values[(1, (1,))] == 5
     assert values[(1, (2,))] == 6
+
+
+def test_jet_refuses_a_polynomial_of_another_size():
+    space = JetSpace([(1, 2)], 1, 2)
+    wide = parse_poly("x3^2 + x1*x3", 3)
+    with pytest.raises(DimensionMismatch):
+        space.jet(wide)
+    functional = LinearFunctional.partial_at((1, 2), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        check_leibniz(functional, (1, 2), (1, 2), [wide, parse_poly("x1", 3)])
 
 
 def jet_by_translate(space, f):
@@ -283,6 +293,63 @@ def test_cluster_of():
     assert sp.cluster_of((F(9), F(9), F(9))) is None
 
 
+def test_spectrum_clusters_from_one_evaluation_per_generator_and_point(monkeypatch):
+    """The partition of the former pairwise grouping, each generator evaluated
+    once per spectrum point and twice more per character difference."""
+    rng = random.Random(139)
+    fixtures = [session_filtration(name) for name in ("a1", "a2", "a3", "a4")]
+    fixtures += [random_filtration(rng) for _ in range(60)]
+    evaluate, calls = Poly.evaluate, []
+
+    def counting(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Poly, "evaluate", counting)
+    separated = 0
+    for flt in fixtures:
+        final = flt.final_basis
+        calls.clear()
+        sp = spectrum(flt)
+        chardiffs = sum(level.condition.kind.name == "chardiff" for level in flt.levels)
+        assert len(calls) == (len(sp.points) + 2 * chardiffs) * len(final.gens)
+        groups = []
+        for p in sp.points:
+            group = next((g for g in groups if are_equivalent(p, g[0], final)), None)
+            if group is None:
+                groups.append([p])
+            else:
+                group.append(p)
+        assert sp.clusters == tuple(sorted(tuple(sorted(g)) for g in groups))
+        separated += len(sp.clusters) > 1
+    assert separated >= 5
+
+
+def test_one_jet_space_per_build_and_per_derivation_space(monkeypatch):
+    init, made = JetSpace.__init__, []
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(JetSpace, "__init__", counting)
+    chains = [Session.load(str(SESSIONS / f"{name}.json")) for name in ("a1", "a2", "a3", "a4")]
+    chains = [(s.n, s.conditions) for s in chains]
+    chains += [(len(points[0]), qn_spec(points, level).conditions) for points, level in LADDER_RUNGS]
+    calls = 0
+    for n, conditions in chains:
+        made.clear()
+        flt = build_from_conditions(n, conditions, DEGREVLEX)
+        assert len(made) == 1, made
+        spec = spectrum(flt)
+        for p in spec.points + ((F(7),) * n,):
+            made.clear()
+            derivation_space(flt, p, spec=spec)
+            assert len(made) == 1, made
+            calls += 1
+    assert calls >= 20
+
+
 # -- derivation spaces ------------------------------------------------
 
 
@@ -450,6 +517,14 @@ def test_chardiff_merge_adds_dimensions():
 # -- oracles: the earlier cotangent scan and vanishing kernel ---------
 
 
+def partials_by_order(n, low, high):
+    """The partials of order ``low`` to ``high``, by order, then as tuples.
+
+    Within a point, this is the order in which a jet space lists them.
+    """
+    return sorted((m for m in monomials_up_to(n, high) if low <= sum(m)), key=lambda m: (sum(m), m))
+
+
 def cotangent_by_scan(flt, alpha):
     """dim m/m² from a degree-ordered scan of shifted generator products.
 
@@ -543,7 +618,7 @@ def derivation_space_by_transposed_kernel(flt, alpha):
     candidates = []
     for p in cluster:
         pi = space.point_index(p)
-        for a in _ordered_partials(n, 1, cand_cap):
+        for a in partials_by_order(n, 1, cand_cap):
             candidates.append((pi, a))
     slot_of = {space.index(pi, a): s for s, (pi, a) in enumerate(candidates)}
 
@@ -797,7 +872,7 @@ def spectrum_wide_derivation_space(flt, alpha):
     eval_row = space.evaluation_covector(point)
     ideal_jets = [integral(u) for u in kernel_basis(condition_rows + [eval_row], space.dim)]
     candidates = [
-        (space.point_index(p), a) for p in cluster for a in _ordered_partials(n, 1, cand_cap)
+        (space.point_index(p), a) for p in cluster for a in partials_by_order(n, 1, cand_cap)
     ]
     slot_of = {space.index(pi, a): s for s, (pi, a) in enumerate(candidates)}
     square_span = Echelon()
